@@ -49,6 +49,14 @@ def _parse_complex(value, what="lambda"):
     raise ConfigError(f"cannot parse {what} from {value!r}")
 
 
+def _number(spec, key, default, cast=float):
+    value = spec.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key!r} must be a number, got {value!r}")
+
+
 class RunConfig:
     """Validated configuration of a single CLI run."""
 
@@ -94,14 +102,14 @@ class RunConfig:
 
     def grid(self, chart=None):
         spec = self.raw.get("grid", {})
-        lo = float(spec.get("min", 1e-3))
-        hi = spec.get("max")
-        if hi is None:
-            if chart is None:
-                raise ConfigError("grid needs an explicit 'max'")
+        lo = _number(spec, "min", 1e-3)
+        if spec.get("max") is not None:
+            hi = _number(spec, "max", None)
+        elif chart is None:
+            raise ConfigError("grid needs an explicit 'max'")
+        else:
             hi = 0.9 * float(chart.blowup_x(1.0))
-        hi = float(hi)
-        count = int(spec.get("count", 64))
+        count = _number(spec, "count", 64, int)
         spacing = spec.get("spacing", "log")
         if count < 2:
             raise ConfigError("grid count must be at least 2")
@@ -233,7 +241,9 @@ def _run_flatness(cfg):
     phi = _require_flow_germ(cfg.germ(), "flatness")
     branch = cfg.branch()
     solution = _solution_from_config(cfg, branch, phi.chart)
-    k_max = int(cfg.raw.get("k_max", 5))
+    k_max = _number(cfg.raw, "k_max", 5, int)
+    if k_max < 1:
+        raise ConfigError("flatness needs k_max >= 1")
     x_grid = [float(x) for x in cfg.raw.get("x_grid", DEFAULT_FLATNESS_GRID)]
     report = sol.verify_flatness(solution, k_max, x_grid,
                                  final_tol=cfg.tolerances["flatness_final"])
@@ -404,6 +414,8 @@ def main(argv=None):
                     raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}")
+            if not isinstance(raw, dict):
+                raise ConfigError("config must be a JSON object")
             config_dir = str(path.parent)
         raw["_config_dir"] = config_dir
         if args.lam is not None:

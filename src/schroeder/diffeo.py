@@ -537,5 +537,8 @@ def from_germ(desc: dict) -> HalfLineDiffeo:
             gen = VectorFieldGen.flat()
         else:
             raise ValueError(f"unknown generator kind {rho.get('kind')!r}")
-        return FlowGenerated(gen, time=float(desc.get("time", 1.0)))
+        time = float(desc.get("time", 1.0))
+        if not time > 0:
+            raise ValueError(f"flow time must be positive, got {time}")
+        return FlowGenerated(gen, time=time)
     raise ValueError(f"unknown germ kind {kind!r}")

@@ -80,7 +80,3 @@ class StepTooSmall(SchroederError):
 
 class ConfigError(SchroederError):
     """Invalid run configuration (CLI exit code 2)."""
-
-
-class NumericalFailure(SchroederError):
-    """A verification verdict failed or a numeric routine gave up (CLI exit code 3)."""

@@ -4,13 +4,16 @@ The central object is the Abel chart: the coordinate
 ``t(x) = integral_{x0}^{x} du / rho(u)`` in which the flow is unit-speed
 translation and the time-1 map becomes ``t -> t + 1``.  Time-t maps are
 computed by monotone inversion of the chart, never by ODE stepping, so the
-Abel equation holds up to quadrature and root-finding error only.
+Abel equation holds up to rounding and root-finding error only.
 
 Two generator families are supported:
 
 * polynomial ``rho = x**n + a x**(2n-1)`` (optionally saturating to 1
-  beyond a finite radius) in ordinary float arithmetic, with the singular
-  endpoint handled by analytic subtraction of the leading terms;
+  beyond a finite radius) in ordinary float arithmetic.  ``1/rho`` splits
+  into partial fractions, so the chart is the exact primitive
+  ``u**(1-n)/(1-n) + (a/(n-1)) log(u**(1-n) + a)``, inverted by Newton's
+  method; only the smoothstep blend of a saturating generator is
+  integrated numerically;
 * the flat generator ``rho = exp(-1/x)``, whose Abel integral has the
   closed primitive ``u e**(1/u) - Ei(1/u)``.  Its values overflow every
   fixed-width float long before x reaches 1e-3, so this chart works in
@@ -21,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import mpmath as mp
-import numpy as np
 from scipy.integrate import quad
 
 from .errors import (
@@ -32,6 +34,9 @@ from .errors import (
     NotExpanding,
     QuadratureFail,
 )
+
+_QUAD_TOL = 1e-13      # quadrature on the smoothstep blend
+_NEWTON_STEPS = 100    # budget of the polynomial chart inversion
 
 
 def smoothstep(u):
@@ -96,24 +101,25 @@ class VectorFieldGen:
 
 
 class AbelChart:
-    """Abel coordinate of a generator, with cached quadrature values.
+    """Abel coordinate of a generator.
 
-    Construction fixes the base point (t(x0) = 0) and precomputes the
-    supremum of the coordinate; all later operations are read-only.
+    Polynomial charts evaluate the exact primitive of 1/rho (partial
+    fractions); only the smoothstep blend of a saturating generator needs
+    quadrature.  Construction fixes the base point (t(x0) = 0), the
+    supremum of the coordinate and its value at the domain cap; all later
+    operations are read-only.
     """
 
-    def __init__(self, gen: VectorFieldGen, x0=None, quad_tol=1e-13,
-                 domain_sup=None):
+    def __init__(self, gen: VectorFieldGen, x0=None):
         self.gen = gen
-        self.quad_tol = float(quad_tol)
         if gen.kind == "poly":
             bound = gen.positivity_bound
-            cap = 0.95 * bound if math.isfinite(bound) else 1e9
-            if domain_sup is None and math.isfinite(gen.saturation):
-                domain_sup = max(10.0, 2.0 * gen.saturation)
-            self.domain_sup = min(domain_sup or cap, cap)
+            self.domain_sup = 0.95 * bound if math.isfinite(bound) else 1e9
+            if math.isfinite(gen.saturation):
+                self.domain_sup = min(max(10.0, 2.0 * gen.saturation),
+                                      self.domain_sup)
         else:
-            self.domain_sup = domain_sup or 10.0
+            self.domain_sup = 10.0
         if x0 is None:
             # x0 = 1 whenever the chart reaches that far, else mid-domain
             lid = min(gen.saturation, self.domain_sup)
@@ -121,41 +127,51 @@ class AbelChart:
         if not x0 > 0:
             raise DomainError("base point x0 must be positive")
         self.x0 = float(x0)
-        if gen.kind == "poly" and self.x0 >= self.domain_sup:
+        self._t_sup = self._t_dom = math.inf
+        if gen.kind == "flat":
+            return
+        if self.x0 >= self.domain_sup:
             raise DomainError("x0 outside the positivity domain of rho")
-        self._cache = {}
-        self._t_sup = self._compute_t_sup()
+        s0 = gen.guard * gen.saturation
+        if s0 < self.domain_sup:
+            self._p_s0 = self._poly_primitive(s0)
+            self._blend = self._quad_blend(s0, gen.saturation)
+        self._p0 = self._primitive(self.x0)
+        if math.isinf(gen.saturation) and gen.a >= 0:
+            # P(u) -> (a/(n-1)) log a as u -> inf; for a < 0 rho vanishes
+            # at the far end and the time diverges
+            lim = gen.a / (gen.n - 1) * math.log(gen.a) if gen.a > 0 else 0.0
+            self._t_sup = lim - self._p0
+        self._t_dom = self.abel_time(self.domain_sup)
 
-    # -- generator pieces ---------------------------------------------------
+    # -- polynomial primitive -------------------------------------------------
 
-    def _lead(self, u):
-        # primitive of the singular part 1/u**n - a/u of 1/rho
+    def _poly_primitive(self, u):
+        # P(u) = u**(1-n)/(1-n) + (a/(n-1)) log(u**(1-n) + a), P' = 1/rho;
+        # the log of u**(1-n) + a, not of 1 + a u**(n-1), keeps large u exact
         n, a = self.gen.n, self.gen.a
-        return u ** (1 - n) / (1 - n) - a * math.log(u)
+        w = u ** (1 - n)
+        if a == 0.0:
+            return w / (1 - n)
+        return w / (1 - n) + a / (n - 1) * math.log(w + a)
 
-    def _g(self, u):
-        # 1/rho - (1/u**n - a/u): smooth through u = 0
-        n, a = self.gen.n, self.gen.a
-        return a * a * u ** (n - 2) / (1.0 + a * u ** (n - 1))
-
-    def _quad(self, f, lo, hi):
-        if lo == hi:
-            return 0.0
-        val, err = quad(f, lo, hi, epsabs=self.quad_tol, epsrel=self.quad_tol,
-                        limit=400)
+    def _quad_blend(self, lo, hi):
+        val, err = quad(lambda u: 1.0 / self.gen.rho(u), lo, hi,
+                        epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=400)
         if err > 1e-9 * max(1.0, abs(val)):
             raise QuadratureFail(f"estimated error {err} on [{lo}, {hi}]")
         return val
 
-    def _compute_t_sup(self):
+    def _primitive(self, x):
+        # exact P up to s0 = guard*saturation (everywhere if unsaturated),
+        # quadrature across the blend, unit speed beyond saturation
         g = self.gen
-        if g.kind == "flat" or math.isfinite(g.saturation):
-            return math.inf
-        if g.a < 0:
-            return math.inf  # rho vanishes at the far end, the time diverges
-        far = max(10.0, 4.0 * self.x0)
-        tail = self._quad(lambda u: 1.0 / g.rho(u), far, np.inf)
-        return self.abel_time(far) + tail
+        s0 = g.guard * g.saturation
+        if x <= s0:
+            return self._poly_primitive(x)
+        if x <= g.saturation:
+            return self._p_s0 + self._quad_blend(s0, x)
+        return self._p_s0 + self._blend + (x - g.saturation)
 
     @property
     def t_sup(self):
@@ -177,26 +193,7 @@ class AbelChart:
             raise DomainError(
                 f"x={x} beyond the chart domain (rho positivity cap "
                 f"{self.domain_sup:.6g})")
-        key = float(x)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        g = self.gen
-        if math.isinf(g.saturation):
-            val = (self._lead(x) - self._lead(self.x0)
-                   + (self._quad(self._g, self.x0, x) if g.a != 0.0 else 0.0))
-        else:
-            val = self._primitive_sat(x) - self._primitive_sat(self.x0)
-        self._cache[key] = val
-        return val
-
-    def _primitive_sat(self, x):
-        # piecewise primitive for a saturating generator, referenced at s0
-        s0 = self.gen.guard * self.gen.saturation
-        if x <= s0:
-            return (self._lead(x) - self._lead(s0)
-                    + self._quad(self._g, s0, x))
-        return self._quad(lambda u: 1.0 / self.gen.rho(u), s0, x)
+        return self._primitive(x) - self._p0
 
     # -- flat-generator machinery (adaptive precision) ----------------------
 
@@ -274,48 +271,32 @@ class AbelChart:
         if s >= self._t_sup:
             raise BlowUp(f"target time {s} at or past the chart supremum "
                          f"{self._t_sup}")
-        g = self.gen
-        n = g.n
-        # analytic guess from the leading primitive, then bracketed Newton
-        lead0 = self._lead(self.x0)
-        arg = (1 - n) * (s + lead0)
-        guess = arg ** (1.0 / (1 - n)) if arg > 0 else self.x0
-        lo, hi = None, None
-        x = min(max(guess, 1e-280), self.domain_sup * 0.999999)
-        t_x = self.abel_time(x)
-        if t_x <= s:
-            lo = x
-            hi = min(2.0 * x, self.domain_sup)
-            while self.abel_time(hi) < s:
-                lo = hi
-                hi = min(2.0 * hi, self.domain_sup)
-                if hi >= self.domain_sup and self.abel_time(hi) < s:
-                    raise BlowUp(f"target {s} beyond the certified domain")
-        else:
-            hi = x
-            lo = 0.5 * x
-            while self.abel_time(lo) > s:
-                hi = lo
-                lo *= 0.5
-                if lo < 1e-300:
-                    raise DomainError("inversion target below representable x")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            t_mid = self.abel_time(mid)
-            if t_mid < s:
-                lo = mid
+        if s > self._t_dom:
+            raise BlowUp(f"target {s} beyond the certified domain")
+        # leading-term guess u**(1-n)/(1-n) = s + P(x0), then Newton with
+        # t' = 1/rho; a step that leaves the bracket (lo, hi) or fails to
+        # halve the previous one is replaced by bisection
+        n = self.gen.n
+        arg = (1 - n) * (s + self._p0)
+        guess = arg ** (1.0 / (1 - n)) if arg > 1e-300 else math.inf
+        x = guess if guess < self.domain_sup else self.x0
+        lo, hi = 0.0, self.domain_sup
+        step = math.inf
+        for _ in range(_NEWTON_STEPS):
+            t = self.abel_time(x)
+            if t < s:
+                lo = x
             else:
-                hi = mid
-            x_new = mid + (s - t_mid) * g.rho(mid)
-            if lo < x_new < hi:
-                t_new = self.abel_time(x_new)
-                if t_new < s:
-                    lo = x_new
-                else:
-                    hi = x_new
+                hi = x
+            prev, step = abs(step), (s - t) * self.gen.rho(x)
+            if abs(step) <= 1e-15 * x:
+                return x + step
             if hi - lo <= 1e-15 * hi:
-                break
-        return 0.5 * (lo + hi)
+                return 0.5 * (lo + hi)
+            x += step
+            if not (lo < x < hi and abs(step) < 0.5 * prev):
+                x = math.sqrt(lo * hi) if lo > 0 else 0.5 * hi
+        raise NoConvergence(f"chart inversion of t={s} stalled")
 
     def flow_map(self, t, x):
         """exp(t X)(x), via t(x) -> t(x) + t -> x."""
@@ -338,20 +319,28 @@ class AbelChart:
         return self._t_sup - self.abel_time(x) if math.isfinite(self._t_sup) \
             else math.inf
 
+    def _t_top(self):
+        # time at which flows leave the certified chart: the escape time,
+        # else (poly charts) the Abel time of the domain cap
+        return self._t_sup if math.isfinite(self._t_sup) else self._t_dom
+
     def max_start_for(self, time):
         """Largest start so that the time-``time`` flow stays certified."""
-        if math.isinf(self._t_sup):
+        top = self._t_top()
+        if math.isinf(top):
             return math.inf
-        return self.invert_abel(self._t_sup - time) * (1.0 - 1e-9)
+        return self.invert_abel(top - time) * (1.0 - 1e-9)
 
     def blowup_x(self, time=1.0):
         """Boundary start value for the time-``time`` map.
 
-        For generators without finite escape time the certified domain cap
-        plays this role (grid conventions rely on a finite value).
+        Without a finite escape time a polynomial chart ends at the Abel
+        time of its domain cap instead, and the flat chart returns the cap
+        itself (grid conventions rely on a finite value).
         """
-        if math.isfinite(self._t_sup):
-            return self.invert_abel(self._t_sup - time)
+        top = self._t_top()
+        if math.isfinite(top):
+            return self.invert_abel(top - time)
         return self.domain_sup
 
 

@@ -24,10 +24,6 @@ def series_add(a, b, order):
     return [x + y for x, y in zip(a, b)]
 
 
-def series_scale(s, a, order):
-    return [s * x for x in truncate(a, order)]
-
-
 def series_mul(a, b, order):
     a = truncate(a, order)
     b = truncate(b, order)
@@ -39,13 +35,6 @@ def series_mul(a, b, order):
             bj = b[j]
             if bj != 0:
                 out[i + j] += ai * bj
-    return out
-
-
-def series_pow(a, k, order):
-    out = [1] + [0] * order
-    for _ in range(k):
-        out = series_mul(out, a, order)
     return out
 
 

@@ -146,7 +146,7 @@ def test_fiber_match_and_mismatch(tmp_path):
     assert rep["status"] == "fail"
 
 
-def test_exit_code_config_errors(tmp_path):
+def test_exit_code_config_errors(tmp_path, capsys):
     assert main(["verify", "--config", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -156,6 +156,20 @@ def test_exit_code_config_errors(tmp_path):
                        {"germ": {"kind": "linear", "mu": 2.0},
                         "lambda": 4.0, "grid": {"max": 1.0}})
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    # rejected at the config boundary, never as a traceback or verdict
+    rows = [
+        ("verify", [1, 2]),
+        ("verify", {"germ": FLOW_GERM, "lambda": 2.0,
+                    "grid": {"count": "x"}}),
+        ("verify", {"germ": dict(FLOW_GERM, time=-1), "lambda": 2.0}),
+        ("flatness", {"germ": FLOW_GERM, "lambda": 2.0, "k_max": 0}),
+    ]
+    for i, (command, payload) in enumerate(rows):
+        capsys.readouterr()
+        cfg = write_config(tmp_path, f"row{i}.json", payload)
+        out = str(tmp_path / f"row{i}")
+        assert main([command, "--config", cfg, "--out", out]) == 2, payload
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_determinism_modulo_timestamp(tmp_path):

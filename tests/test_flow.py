@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +81,85 @@ def test_abel_equation_unit_shift_across_generators():
             assert float(res) <= 1e-9, (gen, x)
 
 
+# -- independent oracle: 30-digit quadrature of 1/rho ---------------------------
+
+def _mp_rho(gen):
+    n, a = gen.n, mp.mpf(gen.a)
+    sat = mp.mpf(gen.saturation)
+    s0 = gen.guard * sat
+
+    def step(u):
+        if u <= 0:
+            return mp.mpf(0)
+        if u >= 1:
+            return mp.mpf(1)
+        p, q = mp.exp(-1 / u), mp.exp(-1 / (1 - u))
+        return p / (p + q)
+
+    def rho(u):
+        p = u**n + a * u ** (2 * n - 1)
+        if u <= s0:
+            return p
+        w = step((u - s0) / (sat - s0))
+        return (1 - w) * p + w
+
+    return rho, [s0, sat] if mp.isfinite(sat) else []
+
+
+def _mp_abel_time(gen, x0, x):
+    rho, breaks = _mp_rho(gen)
+    lo, hi = sorted((mp.mpf(x0), mp.mpf(x)))
+    nodes = [lo] + [b for b in breaks if lo < b < hi] + [hi]
+    val = mp.quad(lambda u: 1 / rho(u), nodes)
+    return val if x >= x0 else -val
+
+
+def _assert_rel(got, want, tol=1e-13):
+    assert abs(got - want) <= tol * abs(want), (got, want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("a", [-0.3, 0.5, 2.0])
+def test_abel_time_matches_mpmath_quadrature(n, a):
+    gen = VectorFieldGen.poly(n, a)
+    ch = AbelChart(gen)
+    with mp.workdps(30):
+        for x in np.geomspace(1e-3, 0.9 * ch.blowup_x(1.0), 12):
+            if abs(x - ch.x0) < 0.05 * ch.x0:
+                continue  # t(x) -> 0 there, so no relative scale
+            want = _mp_abel_time(gen, ch.x0, float(x))
+            _assert_rel(ch.abel_time(float(x)), want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("a", [0.0, 0.5, 2.0])
+def test_t_sup_matches_mpmath_quadrature(n, a):
+    gen = VectorFieldGen.poly(n, a)
+    ch = AbelChart(gen)
+    rho, _ = _mp_rho(gen)
+    with mp.workdps(30):
+        want = mp.quad(lambda u: 1 / rho(u), [ch.x0, 10 * ch.x0, mp.inf])
+    _assert_rel(ch.t_sup, want)
+
+
+def test_saturating_chart_matches_mpmath_quadrature():
+    gen = VectorFieldGen.poly(2, 0.5, saturation=2.0)
+    ch = AbelChart(gen)
+    # below the blend [1.6, 2] and past it, where rho = 1
+    with mp.workdps(30):
+        for x in (1e-3, 0.02, 0.3, 0.7, 1.3, 1.55, 2.05, 3.0, 7.5):
+            _assert_rel(ch.abel_time(x), _mp_abel_time(gen, ch.x0, x))
+
+
+@pytest.mark.parametrize("n, a", [(2, 0.0), (2, 0.5), (3, 2.0), (4, -0.3)])
+def test_inversion_round_trip_at_the_chart_ends(n, a):
+    ch = AbelChart(VectorFieldGen.poly(n, a))
+    bx = ch.blowup_x(1.0)
+    for x in (1e-3, 1.1e-3, 0.9 * bx, 0.99 * bx, bx):
+        s = ch.abel_time(x)
+        _assert_rel(ch.abel_time(ch.invert_abel(s)), s)
+
+
 # -- flows -----------------------------------------------------------------------
 
 def test_flow_identity_at_zero_time():
@@ -141,6 +221,12 @@ def test_negative_cubic_generator_domain():
     assert math.isinf(ch.t_sup)  # the flow creeps toward the zero of rho
     with pytest.raises(DomainError):
         ch.abel_time(0.99)  # past the positivity cap
+    # the time-1 map is certified only where its image stays in the chart
+    phi = D.FlowGenerated(gen)
+    assert math.isfinite(phi.domain_hint)
+    for x in np.geomspace(1e-3, 0.9 * ch.blowup_x(1.0), 64):
+        assert float(x) < phi.domain_hint
+        assert phi(float(x)) <= ch.domain_sup
 
 
 # -- fractional iterates ------------------------------------------------------------
