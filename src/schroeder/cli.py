@@ -40,15 +40,15 @@ DEFAULT_FLATNESS_GRID = [0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625]
 
 
 def _parse_complex(value, what="lambda"):
-    if isinstance(value, dict):
-        return complex(float(value["re"]), float(value.get("im", 0.0)))
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, str):
-        try:
+    try:
+        if isinstance(value, dict):
+            return complex(float(value["re"]), float(value.get("im", 0.0)))
+        if isinstance(value, (int, float)):
+            return complex(value)
+        if isinstance(value, str):
             return complex(value.replace(" ", ""))
-        except ValueError:
-            raise ConfigError(f"cannot parse {what} from {value!r}")
+    except (KeyError, TypeError, ValueError):
+        pass
     raise ConfigError(f"cannot parse {what} from {value!r}")
 
 
@@ -56,7 +56,7 @@ def _number(spec, key, default, cast=float):
     value = spec.get(key, default)
     try:
         return cast(value)
-    except (TypeError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         raise ConfigError(f"{key!r} must be a number, got {value!r}")
 
 
@@ -69,7 +69,10 @@ class RunConfig:
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.tolerances = dict(DEFAULT_TOLERANCES)
-        self.tolerances.update(raw.get("tolerances", {}))
+        given = raw.get("tolerances", {})
+        if not isinstance(given, dict):
+            raise ConfigError("'tolerances' must be an object")
+        self.tolerances.update({k: _number(given, k, None) for k in given})
         env_tol = os.environ.get("SCHROEDER_TOL")
         if env_tol:
             try:
@@ -142,39 +145,35 @@ class RunConfig:
         raise ConfigError("'coeffs' must be a path or an inline object")
 
 
-def emit_solution_table(solution, phi, grid, path):
-    """CSV sample table with the residual of the eigen equation per row.
-
-    Columns, exactly: x, abel_t, beta_re, beta_im, residual_I_abs,
-    residual_I_rel, in grid order.  Rows whose forward image escapes the
-    certified flow window keep their sample values and carry nan
-    residuals.
-    """
-    from .errors import BlowUp, DomainExceeded
-
-    lam = solution.branch.lam
-    report = VerificationReport(kind="solution-table", tolerances={})
-    worst = 0.0
-    rows = []
-    for x in grid:
-        x = float(x)
-        t = float(solution.chart.abel_time(x))
-        bx = sol.eval_solution(solution, x)
-        try:
-            by = sol.eval_solution(solution, phi(x))
-            r_abs = abs(by - lam * bx)
-            r_rel = r_abs / max(abs(lam * bx), 1e-300) if r_abs else 0.0
-            worst = max(worst, r_rel)
-        except (BlowUp, DomainExceeded):
-            r_abs = r_rel = float("nan")
-        rows.append([x, t, bx.real, bx.imag, r_abs, r_rel])
+def _write_residual_csv(path, rows):
+    """The CSV table of ``solve`` and ``verify``, one row per grid point."""
+    keys = ("x", "abel_t", "beta_re", "beta_im", "residual_abs",
+            "residual_rel")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "abel_t", "beta_re", "beta_im",
                          "residual_I_abs", "residual_I_rel"])
         for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
-    report.add_check("max_residual_rel_sampled", worst, math.inf, True)
+            writer.writerow([repr(float(row[k])) for k in keys])
+
+
+def emit_solution_table(solution, phi, grid, path):
+    """CSV sample table with the residual of the eigen equation per row.
+
+    Columns, exactly: x, abel_t, beta_re, beta_im, residual_I_abs,
+    residual_I_rel, in grid order; the residuals are those of
+    ``verify``.  Rows whose forward image escapes the certified flow
+    window keep their sample values and carry nan residuals, which the
+    sampled maximum skips.
+    """
+    rows = sol.residual_rows(solution, solution.branch.lam, phi, grid)
+    for row in rows:
+        row["abel_t"] = float(solution.chart.abel_time(row["x"]))
+    _write_residual_csv(path, rows)
+    report = VerificationReport(kind="solution-table", tolerances={})
+    report.add_check("max_residual_rel_sampled", sol.sup_residual(
+        [r for r in rows if not math.isnan(r["residual_rel"])]),
+        math.inf, True)
     return report
 
 
@@ -190,11 +189,14 @@ def _solution_from_config(cfg, branch, chart):
     coeffs_data = cfg.load_coeffs()
     if coeffs_data is None:
         return sol.base_solution(branch, chart)
-    if "layers" in coeffs_data:
-        return sol.solution_from_coeff_dict(coeffs_data, chart)
-    coeffs = {int(k): _parse_complex(v, "coefficient")
-              for k, v in coeffs_data.items()}
-    return sol.synthesize(branch, chart, coeffs)
+    try:
+        if "layers" in coeffs_data:
+            return sol.solution_from_coeff_dict(coeffs_data, chart)
+        coeffs = {int(k): _parse_complex(v, "coefficient")
+                  for k, v in coeffs_data.items()}
+        return sol.synthesize(branch, chart, coeffs)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad coefficients: {exc}")
 
 
 # --------------------------------------------------------------------------
@@ -225,14 +227,7 @@ def _run_verify(cfg):
     report = sol.verify_residual(solution, phi, grid,
                                  rel_tol=cfg.tolerances["residual"])
     table_path = cfg.out_dir / "residuals.csv"
-    with open(table_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "abel_t", "beta_re", "beta_im",
-                         "residual_I_abs", "residual_I_rel"])
-        for row in report.tables["residuals"]:
-            writer.writerow([repr(float(row[k])) for k in
-                             ("x", "abel_t", "beta_re", "beta_im",
-                              "residual_abs", "residual_rel")])
+    _write_residual_csv(table_path, report.tables["residuals"])
     summary = {
         "max_residual_rel": report.check_value("max_residual_rel").value,
         "table": table_path.name,
@@ -247,7 +242,14 @@ def _run_flatness(cfg):
     k_max = _number(cfg.raw, "k_max", 5, int)
     if k_max < 1:
         raise ConfigError("flatness needs k_max >= 1")
-    x_grid = [float(x) for x in cfg.raw.get("x_grid", DEFAULT_FLATNESS_GRID)]
+    try:
+        x_grid = [float(x) for x in
+                  cfg.raw.get("x_grid", DEFAULT_FLATNESS_GRID)]
+    except (TypeError, ValueError):
+        raise ConfigError("'x_grid' must be a list of numbers")
+    if not (x_grid and x_grid[-1] > 0
+            and all(a > b for a, b in zip(x_grid, x_grid[1:]))):
+        raise ConfigError("x_grid must be positive and strictly decreasing")
     report = sol.verify_flatness(solution, k_max, x_grid,
                                  final_tol=cfg.tolerances["flatness_final"])
     summary = {"k_max": k_max, "x_grid": x_grid}
@@ -255,13 +257,18 @@ def _run_flatness(cfg):
 
 
 def _run_resonance(cfg):
-    mu = cfg.raw.get("mu")
-    if mu is None:
+    if cfg.raw.get("mu") is None:
         raise ConfigError("resonance needs 'mu'")
-    mu = float(mu)
+    mu = _number(cfg.raw, "mu", None)
     lam = _parse_complex(cfg.raw.get("lambda"))
-    order = int(cfg.raw.get("order", 10))
-    n_max = int(cfg.raw.get("n_max", 32))
+    order = _number(cfg.raw, "order", 10, int)
+    n_max = _number(cfg.raw, "n_max", 32, int)
+    if not mu > 1:
+        raise ConfigError("resonance needs mu > 1")
+    if not abs(lam) > 1:
+        raise ConfigError("resonance needs |lambda| > 1")
+    if order < 1:
+        raise ConfigError("resonance needs order >= 1")
     res = sol.classify_resonance(mu, lam, n_max=n_max)
     rows = sol.jet_constraints(mu, lam, order)
     unforced = [k for k, forced in rows if not forced]
@@ -283,11 +290,15 @@ def _run_aut(cfg):
     phi = _require_flow_germ(cfg.germ(), "aut")
     branch = cfg.branch()
     data = ag.ReebData(branch=branch, phi=phi, chart=phi.chart)
-    seed = cfg.raw.get("seed")
-    if seed is None:
+    if cfg.raw.get("seed") is None:
         raise ConfigError("the aut command requires an explicit 'seed'")
-    count = int(cfg.raw.get("count", 25))
-    rng = np.random.default_rng(int(seed))
+    seed = _number(cfg.raw, "seed", None, int)
+    count = _number(cfg.raw, "count", 25, int)
+    if seed < 0:
+        raise ConfigError("the aut command needs a seed >= 0")
+    if count < 1:
+        raise ConfigError("the aut command needs count >= 1")
+    rng = np.random.default_rng(seed)
     tol = cfg.tolerances["group"]
 
     def random_element():
@@ -323,13 +334,12 @@ def _run_aut(cfg):
     report = VerificationReport(kind="aut-group", tolerances={"group": tol})
     report.add_check("associativity_dev", worst_assoc, tol)
     report.add_check("inverse_law_dev", worst_inv, tol)
-    summary = {"count": count, "seed": int(seed)}
+    summary = {"count": count, "seed": seed}
     return report, summary
 
 
 def _run_fiber(cfg):
-    lam = _parse_complex(cfg.raw.get("lambda"))
-    branch = sol.LambdaBranch.principal(lam)
+    branch = cfg.branch()
     germ = cfg.germ(required=False)
     if germ is None:
         from .flow import VectorFieldGen
@@ -341,6 +351,8 @@ def _run_fiber(cfg):
                         chart=getattr(germ2, "chart", None))
     a1 = _parse_complex(cfg.raw.get("a1", 1.0), "a1")
     a2 = _parse_complex(cfg.raw.get("a2", 1.0), "a2")
+    if a1 == 0 or a2 == 0:
+        raise ConfigError("fiber needs nonzero a1 and a2")
     f = ag.section(a1, data1)
     g = ag.section(a2, data2)
     tol = cfg.tolerances["boundary"]

@@ -328,23 +328,13 @@ class IterateMap(HalfLineDiffeo):
         if self.power < 0 or not math.isfinite(self.base.domain_hint):
             return self.base.domain_hint
         # largest x whose forward orbit of length `power` stays certified
-        x = self.base.domain_hint
-        for _ in range(self.power - 1):
-            x = self.base.inverse_value(x)
-        return x
+        return iterate(self.base, 1 - self.power, self.base.domain_hint)
 
     def __repr__(self):
         return f"IterateMap({self.base!r}, {self.power})"
 
     def _eval_raw(self, x):
-        y = x
-        if self.power > 0:
-            for _ in range(self.power):
-                y = self.base(y)
-        else:
-            for _ in range(-self.power):
-                y = self.base.inverse_value(y)
-        return y
+        return iterate(self.base, self.power, x)
 
     def __call__(self, x):
         # an inverse iterate is contracting, so skip the expansion guard
@@ -357,7 +347,7 @@ class IterateMap(HalfLineDiffeo):
         return self._eval_raw(x)
 
     def inverse_value(self, y, rtol=1e-13):
-        return IterateMap(self.base, -self.power)._eval_raw(y)
+        return iterate(self.base, -self.power, y)
 
     def jets(self, order):
         base = list(self.base.jets(order).coefficients)

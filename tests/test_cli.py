@@ -168,12 +168,45 @@ def test_exit_code_config_errors(tmp_path, capsys):
                         "lambda": 4.0, "grid": {"max": 1.0}})
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     # rejected at the config boundary, never as a traceback or verdict
+    half_lambda = tmp_path / "half_lambda.json"
+    half_lambda.write_text(json.dumps({
+        "lambda": {"re": 0.5, "im": 0.0},
+        "layers": [{"j": 0, "coeffs": [{"l": 0, "re": 1.0}]}]}))
+    aut = {"germ": FLOW_GERM, "lambda": 2.0, "seed": 1}
     rows = [
         ("verify", [1, 2]),
         ("verify", {"germ": FLOW_GERM, "lambda": 2.0,
                     "grid": {"count": "x"}}),
         ("verify", {"germ": dict(FLOW_GERM, time=-1), "lambda": 2.0}),
+        ("verify", {"germ": FLOW_GERM, "lambda": 2.0,
+                    "coeffs": {"70": 1.0}}),
+        ("verify", {"germ": FLOW_GERM, "lambda": 2.0,
+                    "coeffs": str(half_lambda)}),
+        ("verify", {"germ": FLOW_GERM, "lambda": 2.0,
+                    "tolerances": [1e-8]}),
+        ("verify", {"germ": FLOW_GERM, "lambda": 2.0,
+                    "tolerances": {"residual": "x"}}),
         ("flatness", {"germ": FLOW_GERM, "lambda": 2.0, "k_max": 0}),
+        ("flatness", {"germ": FLOW_GERM, "lambda": 2.0,
+                      "x_grid": [0.1, 0.2]}),
+        ("resonance", {"mu": 0.5, "lambda": 4.0}),
+        ("resonance", {"mu": "x", "lambda": 4.0}),
+        ("resonance", {"mu": 2, "lambda": 4.0, "order": "x"}),
+        ("resonance", {"mu": 2, "lambda": 4.0, "order": 0}),
+        ("fiber", {"lambda": 0.5}),
+        ("fiber", {"lambda": 2.0, "a1": 0}),
+        ("aut", dict(aut, seed="x")),
+        ("aut", dict(aut, count="x")),
+        ("aut", dict(aut, count=0)),
+        ("aut", dict(aut, seed=-1)),
+        ("aut", dict(aut, count=1e999)),
+        ("resonance", {"mu": 2, "lambda": 0.5}),
+        ("resonance", {"mu": 2, "lambda": {"re": "x"}}),
+        ("flatness", {"germ": FLOW_GERM, "lambda": 2.0, "x_grid": []}),
+        ("flatness", {"germ": FLOW_GERM, "lambda": 2.0, "x_grid": ["a"]}),
+        ("verify", {"germ": FLOW_GERM, "lambda": 2.0, "coeffs": {"x": 1.0}}),
+        ("verify", {"germ": FLOW_GERM, "lambda": 2.0,
+                    "coeffs": {"layers": []}}),
     ]
     for i, (command, payload) in enumerate(rows):
         capsys.readouterr()
@@ -224,3 +257,54 @@ def test_coefficient_file_reference(tmp_path):
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
     assert load_report(out)["summary"]["max_residual_rel"] <= 1e-8
+
+
+# -- the residual kernel's contract ------------------------------------------------
+
+def _csv_column(path, key):
+    with open(path) as fh:
+        return [row[key] for row in csv.DictReader(fh)]
+
+
+def test_solve_and_verify_share_the_residual(tmp_path):
+    cfg = write_config(tmp_path, "c.json", {
+        "germ": FLOW_GERM, "lambda": {"re": 2.0, "im": 1.0},
+        "coeffs": {"0": 1.0, "1": 0.5, "-1": 0.5},
+        "grid": {"min": 1e-3, "max": 0.9, "count": 16}})
+    assert main(["solve", "--config", cfg, "--out",
+                 str(tmp_path / "s")]) == 0
+    assert main(["verify", "--config", cfg, "--out",
+                 str(tmp_path / "v")]) == 0
+    for key in ("residual_I_abs", "residual_I_rel"):
+        assert _csv_column(tmp_path / "s" / "solution.csv", key) == \
+            _csv_column(tmp_path / "v" / "residuals.csv", key)
+
+
+ESCAPING = {"germ": FLOW_GERM, "lambda": math.e,
+            "grid": {"min": 1e-3, "max": 3.0, "count": 16}}
+
+
+def test_solve_escaping_grid_writes_nan_rows(tmp_path):
+    # phi(x) = x / (1 - x) blows up at x = 1, so the last rows escape
+    cfg = write_config(tmp_path, "s.json", ESCAPING)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    rows = list(csv.DictReader(open(out / "solution.csv")))
+    assert len(rows) == 16
+    assert math.isnan(float(rows[-1]["residual_I_abs"]))
+    assert math.isnan(float(rows[-1]["residual_I_rel"]))
+    assert float(rows[0]["residual_I_rel"]) <= 1e-8
+    assert load_report(out)["status"] == "pass"
+
+
+def test_verify_escaping_grid_fails(tmp_path):
+    cfg = write_config(tmp_path, "v.json", ESCAPING)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
+    rep = load_report(out)
+    assert rep["status"] == "fail"
+    assert rep["report"]["pass"] is False
+    by_name = {c["name"]: c for c in rep["report"]["checks"]}
+    assert by_name["max_residual_rel"]["pass"] is False
+    rows = list(csv.DictReader(open(out / "residuals.csv")))
+    assert math.isnan(float(rows[-1]["residual_I_rel"]))

@@ -407,3 +407,23 @@ def test_coefficient_dict_roundtrip(setup_x2):
     back = S.solution_from_coeff_dict(data, chart)
     assert back.layers == sols[1].layers
     assert back.branch == sols[1].branch
+
+
+def test_verify_residual_escaping_row_fails(setup_x2):
+    phi, chart, branch = setup_x2
+    # the escaping point is last: a plain max() would keep the finite values
+    rep = S.verify_residual(S.base_solution(branch, chart), phi,
+                            [0.05, 0.2, 0.5, 2.0])
+    rows = rep.tables["residuals"]
+    assert all(r["residual_rel"] <= 1e-8 for r in rows[:3])
+    assert math.isnan(rows[-1]["residual_rel"])
+    assert math.isnan(rep.check_value("max_residual_rel").value)
+    assert not rep.passed
+
+
+def test_sup_residual_keeps_nan():
+    rows = [{"residual_rel": 0.0}, {"residual_rel": math.nan},
+            {"residual_rel": 1e-3}]
+    assert math.isnan(S.sup_residual(rows))
+    assert S.sup_residual(rows[::2]) == 1e-3
+    assert S.sup_residual([]) == 0.0
