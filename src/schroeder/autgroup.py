@@ -33,6 +33,7 @@ from .errors import (
     BoundaryMismatch,
     CentralizerNotFlow,
     DomainExceeded,
+    InvalidInput,
     MixedComponent,
     NoBracket,
 )
@@ -77,7 +78,7 @@ class Case1Solution:
 
     def plus(self, other):
         if self.n != other.n and self.c != 0 and other.c != 0:
-            raise ValueError("incompatible resonance degrees")
+            raise InvalidInput("incompatible resonance degrees")
         n = self.n if self.c != 0 else other.n
         return Case1Solution(self.c + other.c, n, self.mu, self.phi)
 
@@ -235,8 +236,8 @@ class BoundaryClass:
     def of(cls, a, lam):
         a = complex(a)
         lam = complex(lam)
-        if a == 0:
-            raise ValueError("boundary classes live in C*")
+        if a == 0 or not cmath.isfinite(a):
+            raise InvalidInput(f"boundary classes live in C*, got a = {a}")
         ratio = math.log(abs(a)) / math.log(abs(lam))
         u = ratio - math.floor(ratio)
         psi = (cmath.phase(a) - ratio * cmath.phase(lam)) % _TWO_PI
@@ -276,8 +277,8 @@ def section(a, data: ReebData) -> AutElement:
     flow time t(a) = log|a| / log|lam|.
     """
     a = complex(a)
-    if a == 0:
-        raise ValueError("a must be nonzero")
+    if a == 0 or not cmath.isfinite(a):
+        raise InvalidInput(f"a must be finite and nonzero, got {a}")
     t_a = math.log(abs(a)) / math.log(abs(data.lam))
     return normalize(AutElement(data=data, a=a, b=data.zero_translation(),
                                 t=t_a))

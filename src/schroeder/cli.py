@@ -5,8 +5,11 @@ with every tolerance used) and CSV sample tables ready for plotting.
 Reports are byte-reproducible for identical configs: the only
 non-deterministic value is isolated in the single ``timestamp`` key.
 
-Exit codes: 0 all verdicts pass, 2 configuration error, 3 numerical
-failure or failed verdict (the report is still written).
+Exit codes: 0 all verdicts pass, 2 rejected input (``InvalidInput``,
+raised by whichever module reads the offending value), 3 numerical
+failure or failed verdict (the report is still written).  Non-finite
+floats are written to ``report.json`` as the strings "inf", "-inf" and
+"nan", so the report is strict JSON.
 """
 
 import argparse
@@ -23,7 +26,7 @@ import numpy as np
 from . import autgroup as ag
 from . import solutions as sol
 from .diffeo import FlowGenerated, Linear, from_germ
-from .errors import ConfigError, SchroederError
+from .errors import InvalidInput, SchroederError, read_number, require_object
 from .report import VerificationReport
 
 DEFAULT_TOLERANCES = {
@@ -47,102 +50,86 @@ def _parse_complex(value, what="lambda"):
             return complex(value)
         if isinstance(value, str):
             return complex(value.replace(" ", ""))
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, OverflowError, TypeError, ValueError):
         pass
-    raise ConfigError(f"cannot parse {what} from {value!r}")
+    raise InvalidInput(f"cannot parse {what} from {value!r}")
 
 
-def _number(spec, key, default, cast=float):
-    value = spec.get(key, default)
+def _load_object(path, what):
+    """The JSON object stored at ``path``."""
     try:
-        return cast(value)
-    except (OverflowError, TypeError, ValueError):
-        raise ConfigError(f"{key!r} must be a number, got {value!r}")
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:   # ValueError: not JSON, not text
+        raise InvalidInput(f"cannot read {what} {path}: {exc}")
+    return require_object(data, what)
 
 
 class RunConfig:
-    """Validated configuration of a single CLI run."""
+    """Configuration of a single CLI run.
+
+    Each value is read, and so checked, where a command needs it.
+    """
 
     def __init__(self, command, raw, out_dir):
         self.command = command
         self.raw = raw
         self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InvalidInput(f"cannot create output directory: {exc}")
         self.tolerances = dict(DEFAULT_TOLERANCES)
-        given = raw.get("tolerances", {})
-        if not isinstance(given, dict):
-            raise ConfigError("'tolerances' must be an object")
-        self.tolerances.update({k: _number(given, k, None) for k in given})
-        env_tol = os.environ.get("SCHROEDER_TOL")
-        if env_tol:
-            try:
-                self.tolerances["residual"] = float(env_tol)
-            except ValueError:
-                raise ConfigError(f"SCHROEDER_TOL={env_tol!r} is not a float")
+        given = require_object(raw.get("tolerances", {}), "'tolerances'")
+        self.tolerances.update({k: read_number(given, k) for k in given})
+        if os.environ.get("SCHROEDER_TOL"):
+            self.tolerances["residual"] = read_number(os.environ,
+                                                      "SCHROEDER_TOL")
 
     def germ(self, key="germ", required=True):
         desc = self.raw.get(key)
-        if desc is None:
-            if required:
-                raise ConfigError(f"config needs a {key!r} descriptor")
+        if desc is None and not required:
             return None
-        try:
-            return from_germ(desc)
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad germ descriptor: {exc}")
+        return from_germ(desc)
 
-    def branch(self, required=True):
-        lam = self.raw.get("lambda")
-        if lam is None:
-            if required:
-                raise ConfigError("config needs a 'lambda' value")
-            return None
-        lam = _parse_complex(lam)
-        theta0 = self.raw.get("theta0")
-        try:
-            if theta0 is not None:
-                return sol.LambdaBranch(lam, float(theta0))
+    def branch(self):
+        lam = _parse_complex(self.raw.get("lambda"))
+        if self.raw.get("theta0") is None:
             return sol.LambdaBranch.principal(lam)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        return sol.LambdaBranch(lam, read_number(self.raw, "theta0"))
 
     def grid(self, chart=None):
-        spec = self.raw.get("grid", {})
-        lo = _number(spec, "min", 1e-3)
+        spec = require_object(self.raw.get("grid", {}), "'grid'")
+        lo = read_number(spec, "min", default=1e-3)
         if spec.get("max") is not None:
-            hi = _number(spec, "max", None)
+            hi = read_number(spec, "max")
         elif chart is None:
-            raise ConfigError("grid needs an explicit 'max'")
+            raise InvalidInput("grid needs an explicit 'max'")
         else:
             hi = 0.9 * float(chart.blowup_x(1.0))
-        count = _number(spec, "count", 64, int)
+        count = read_number(spec, "count", int, default=64)
         spacing = spec.get("spacing", "log")
         if count < 2:
-            raise ConfigError("grid count must be at least 2")
-        if not 0 < lo < hi:
-            raise ConfigError("grid needs 0 < min < max")
+            raise InvalidInput("grid count must be at least 2")
+        if not 0 < lo < hi < math.inf:
+            raise InvalidInput("grid needs 0 < min < max < inf")
         if spacing == "log":
             return np.geomspace(lo, hi, count)
         if spacing == "linear":
             return np.linspace(lo, hi, count)
-        raise ConfigError(f"unknown grid spacing {spacing!r}")
+        raise InvalidInput(f"unknown grid spacing {spacing!r}")
 
     def load_coeffs(self):
         """Coefficient data: inline dict or a path to a JSON file."""
         spec = self.raw.get("coeffs")
-        if spec is None:
-            return None
         if isinstance(spec, str):
             path = Path(spec)
             if not path.is_absolute():
                 path = Path(self.raw.get("_config_dir", ".")) / path
-            if not path.exists():
-                raise ConfigError(f"coefficient file {path} does not exist")
-            with open(path) as fh:
-                return json.load(fh)
-        if isinstance(spec, dict):
+            return _load_object(path, "coefficient file")
+        if spec is None or isinstance(spec, dict):
             return spec
-        raise ConfigError("'coeffs' must be a path or an inline object")
+        raise InvalidInput("'coeffs' must be a path or an inline object")
 
 
 def _write_residual_csv(path, rows):
@@ -179,7 +166,7 @@ def emit_solution_table(solution, phi, grid, path):
 
 def _require_flow_germ(phi, command):
     if not isinstance(phi, FlowGenerated):
-        raise ConfigError(
+        raise InvalidInput(
             f"the {command} command needs a flow-generated germ "
             "(kind 'flow'): solutions are represented over Abel charts")
     return phi
@@ -189,14 +176,10 @@ def _solution_from_config(cfg, branch, chart):
     coeffs_data = cfg.load_coeffs()
     if coeffs_data is None:
         return sol.base_solution(branch, chart)
-    try:
-        if "layers" in coeffs_data:
-            return sol.solution_from_coeff_dict(coeffs_data, chart)
-        coeffs = {int(k): _parse_complex(v, "coefficient")
-                  for k, v in coeffs_data.items()}
-        return sol.synthesize(branch, chart, coeffs)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad coefficients: {exc}")
+    if "layers" in coeffs_data:
+        return sol.solution_from_coeff_dict(coeffs_data, chart)
+    return sol.synthesize(branch, chart, {
+        k: _parse_complex(v, "coefficient") for k, v in coeffs_data.items()})
 
 
 # --------------------------------------------------------------------------
@@ -239,36 +222,20 @@ def _run_flatness(cfg):
     phi = _require_flow_germ(cfg.germ(), "flatness")
     branch = cfg.branch()
     solution = _solution_from_config(cfg, branch, phi.chart)
-    k_max = _number(cfg.raw, "k_max", 5, int)
-    if k_max < 1:
-        raise ConfigError("flatness needs k_max >= 1")
-    try:
-        x_grid = [float(x) for x in
-                  cfg.raw.get("x_grid", DEFAULT_FLATNESS_GRID)]
-    except (TypeError, ValueError):
-        raise ConfigError("'x_grid' must be a list of numbers")
-    if not (x_grid and x_grid[-1] > 0
-            and all(a > b for a, b in zip(x_grid, x_grid[1:]))):
-        raise ConfigError("x_grid must be positive and strictly decreasing")
-    report = sol.verify_flatness(solution, k_max, x_grid,
+    k_max = read_number(cfg.raw, "k_max", int, default=5)
+    report = sol.verify_flatness(solution, k_max,
+                                 cfg.raw.get("x_grid", DEFAULT_FLATNESS_GRID),
                                  final_tol=cfg.tolerances["flatness_final"])
-    summary = {"k_max": k_max, "x_grid": x_grid}
+    summary = {"k_max": k_max,
+               "x_grid": [row["x"] for row in report.tables["derivatives"]]}
     return report, summary
 
 
 def _run_resonance(cfg):
-    if cfg.raw.get("mu") is None:
-        raise ConfigError("resonance needs 'mu'")
-    mu = _number(cfg.raw, "mu", None)
+    mu = read_number(cfg.raw, "mu")
     lam = _parse_complex(cfg.raw.get("lambda"))
-    order = _number(cfg.raw, "order", 10, int)
-    n_max = _number(cfg.raw, "n_max", 32, int)
-    if not mu > 1:
-        raise ConfigError("resonance needs mu > 1")
-    if not abs(lam) > 1:
-        raise ConfigError("resonance needs |lambda| > 1")
-    if order < 1:
-        raise ConfigError("resonance needs order >= 1")
+    order = read_number(cfg.raw, "order", int, default=10)
+    n_max = read_number(cfg.raw, "n_max", int, default=32)
     res = sol.classify_resonance(mu, lam, n_max=n_max)
     rows = sol.jet_constraints(mu, lam, order)
     unforced = [k for k, forced in rows if not forced]
@@ -290,14 +257,12 @@ def _run_aut(cfg):
     phi = _require_flow_germ(cfg.germ(), "aut")
     branch = cfg.branch()
     data = ag.ReebData(branch=branch, phi=phi, chart=phi.chart)
-    if cfg.raw.get("seed") is None:
-        raise ConfigError("the aut command requires an explicit 'seed'")
-    seed = _number(cfg.raw, "seed", None, int)
-    count = _number(cfg.raw, "count", 25, int)
+    seed = read_number(cfg.raw, "seed", int)
+    count = read_number(cfg.raw, "count", int, default=25)
     if seed < 0:
-        raise ConfigError("the aut command needs a seed >= 0")
+        raise InvalidInput("the aut command needs a seed >= 0")
     if count < 1:
-        raise ConfigError("the aut command needs count >= 1")
+        raise InvalidInput("the aut command needs count >= 1")
     rng = np.random.default_rng(seed)
     tol = cfg.tolerances["group"]
 
@@ -351,8 +316,6 @@ def _run_fiber(cfg):
                         chart=getattr(germ2, "chart", None))
     a1 = _parse_complex(cfg.raw.get("a1", 1.0), "a1")
     a2 = _parse_complex(cfg.raw.get("a2", 1.0), "a2")
-    if a1 == 0 or a2 == 0:
-        raise ConfigError("fiber needs nonzero a1 and a2")
     f = ag.section(a1, data1)
     g = ag.section(a2, data2)
     tol = cfg.tolerances["boundary"]
@@ -378,6 +341,18 @@ _COMMANDS = {
 }
 
 
+def _strict(value):
+    """``value`` with every non-finite float replaced by its string
+    "inf", "-inf" or "nan", which ``float`` reads back."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(float(value))
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def _write_report(cfg, report, summary, status):
     payload = {
         "command": cfg.command,
@@ -390,7 +365,8 @@ def _write_report(cfg, report, summary, status):
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / "report.json"
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_strict(payload), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
     return path
 
@@ -415,46 +391,37 @@ def build_parser():
     return parser
 
 
+def _config(args):
+    """The run configuration of the parsed command line."""
+    raw = {}
+    config_dir = "."
+    if args.config:
+        path = Path(args.config)
+        raw = _load_object(path, "config file")
+        config_dir = str(path.parent)
+    raw["_config_dir"] = config_dir
+    if args.lam is not None:
+        raw["lambda"] = args.lam
+    if args.mu is not None:
+        raw["mu"] = args.mu
+    out_dir = args.out or raw.get("out", ".")
+    if not isinstance(out_dir, str):
+        raise InvalidInput(f"'out' must be a path, got {out_dir!r}")
+    flags = {k: v for k, v in (("min", args.grid_min), ("max", args.grid_max),
+                               ("count", args.grid_count)) if v is not None}
+    grid = raw.get("grid", {})
+    if flags and isinstance(grid, dict):   # RunConfig.grid rejects the rest
+        raw["grid"] = {**grid, **flags}
+    return RunConfig(args.command, raw, out_dir)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        raw = {}
-        config_dir = "."
-        if args.config:
-            path = Path(args.config)
-            if not path.exists():
-                raise ConfigError(f"config file {path} does not exist")
-            try:
-                with open(path) as fh:
-                    raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}")
-            if not isinstance(raw, dict):
-                raise ConfigError("config must be a JSON object")
-            config_dir = str(path.parent)
-        raw["_config_dir"] = config_dir
-        if args.lam is not None:
-            raw["lambda"] = args.lam
-        if args.mu is not None:
-            raw["mu"] = args.mu
-        grid = dict(raw.get("grid", {}))
-        if args.grid_min is not None:
-            grid["min"] = args.grid_min
-        if args.grid_max is not None:
-            grid["max"] = args.grid_max
-        if args.grid_count is not None:
-            grid["count"] = args.grid_count
-        if grid:
-            raw["grid"] = grid
-        out_dir = args.out or raw.get("out", ".")
-        cfg = RunConfig(args.command, raw, out_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
+        # building the config raises nothing but InvalidInput
+        cfg = _config(args)
         report, summary = _COMMANDS[cfg.command](cfg)
-    except ConfigError as exc:
+    except InvalidInput as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SchroederError as exc:

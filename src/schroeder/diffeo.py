@@ -13,12 +13,16 @@ from . import series
 from .errors import (
     DomainExceeded,
     InsufficientJets,
+    InvalidInput,
     NoBracket,
     NotExpanding,
+    read_number,
+    require_object,
 )
 from .flow import AbelChart, VectorFieldGen, smoothstep
 
 _EXPANSION_SLACK = 1e-12
+_INVERSE_RTOL = 1e-13   # mixed tolerance of the generic monotone inverse
 
 
 # --------------------------------------------------------------------------
@@ -44,15 +48,15 @@ class JetData:
         if len(self.coefficients) < 2:
             raise InsufficientJets("need at least the 1-jet")
         if self.coefficients[0] != 0:
-            raise ValueError("constant term must vanish (phi(0)=0)")
+            raise InvalidInput("constant term must vanish (phi(0)=0)")
         if self.expanding and self.coefficients[1] < 1 - _EXPANSION_SLACK:
             raise NotExpanding("linear coefficient below 1")
         if not self.coefficients[1] > 0:
-            raise ValueError("linear coefficient must be positive")
+            raise InvalidInput("linear coefficient must be positive")
         if self.flat:
             for k, c in enumerate(self.coefficients):
                 if (k != 1 and c != 0) or (k == 1 and c != 1):
-                    raise ValueError("flat jets must match the identity")
+                    raise InvalidInput("flat jets must match the identity")
 
     @property
     def order(self):
@@ -123,11 +127,11 @@ class HalfLineDiffeo:
             raise NotExpanding(f"phi({x}) = {y} <= x")
         return y
 
-    def inverse_value(self, y, rtol=1e-13):
+    def inverse_value(self, y):
         """Generic monotone inverse: bisection with secant acceleration.
 
         phi(x) > x gives the bracket [0, y] for free; the root is refined
-        to mixed absolute+relative tolerance ``rtol``.
+        to mixed absolute+relative tolerance 1e-13.
         """
         if y == 0.0:
             return 0.0
@@ -154,7 +158,7 @@ class HalfLineDiffeo:
                 hi, f_hi = x, fx
             else:
                 lo, f_lo = x, fx
-            if hi - lo <= rtol * hi + 1e-300:
+            if hi - lo <= _INVERSE_RTOL * hi + 1e-300:
                 break
         return 0.5 * (lo + hi)
 
@@ -177,7 +181,7 @@ class Linear(HalfLineDiffeo):
     def _eval_raw(self, x):
         return self.mu * x
 
-    def inverse_value(self, y, rtol=1e-13):
+    def inverse_value(self, y):
         if y < 0:
             raise NoBracket("values of the map are nonnegative")
         return y / self.mu
@@ -190,22 +194,21 @@ class Linear(HalfLineDiffeo):
 class TakensPoly(HalfLineDiffeo):
     """Polynomial normal form x + x**n + alpha x**(2n-1) on [0, x1].
 
-    Beyond x1 the displacement is blended (C-infinity) into the constant
-    x + x**n + alpha x**(2n-1) evaluated at x1, so the map is a translation
-    far out and globally expanding.
+    On [x1, 2 x1] the displacement is blended (C-infinity) into the
+    constant x**n + alpha x**(2n-1) evaluated at x1, so the map is a
+    translation far out and globally expanding.
     """
 
     n: int
     alpha: float
     x1: float = 0.25
-    glue_width: float = 1.0
 
     def __post_init__(self):
         if self.n < 2:
-            raise ValueError("normal form needs n >= 2")
+            raise InvalidInput("normal form needs n >= 2")
         if not self.x1 > 0:
-            raise ValueError("x1 must be positive")
-        x2 = self.x1 * (1.0 + self.glue_width)
+            raise InvalidInput("x1 must be positive")
+        x2 = 2.0 * self.x1
         # the displacement must stay positive through the glue region
         for x in [self.x1 * k / 16 for k in range(1, 17)] + [
             self.x1 + (x2 - self.x1) * k / 32 for k in range(33)
@@ -228,7 +231,7 @@ class TakensPoly(HalfLineDiffeo):
     def _shift(self, x):
         if x <= self.x1:
             return self._poly_shift(x)
-        x2 = self.x1 * (1.0 + self.glue_width)
+        x2 = 2.0 * self.x1
         w = smoothstep((x - self.x1) / (x2 - self.x1))
         return (1.0 - w) * self._poly_shift(x) + w * self._poly_shift(self.x1)
 
@@ -255,11 +258,11 @@ class PolynomialMap(HalfLineDiffeo):
     def __post_init__(self):
         c = self.coefficients
         if len(c) < 2 or c[0] != 0:
-            raise ValueError("need c0 = 0 and at least a linear term")
+            raise InvalidInput("need c0 = 0 and at least a linear term")
         if c[1] < 1:
             raise NotExpanding("linear coefficient below 1")
         if any(v < 0 for v in c):
-            raise ValueError("nonnegative coefficients only")
+            raise InvalidInput("nonnegative coefficients only")
         if c[1] == 1 and all(v == 0 for v in c[2:]):
             raise NotExpanding("the identity map is not expanding")
 
@@ -279,12 +282,12 @@ class PolynomialMap(HalfLineDiffeo):
 class FlowGenerated(HalfLineDiffeo):
     """Time-``time`` map of the flow of a positive generator rho(x) d/dx."""
 
-    def __init__(self, gen: VectorFieldGen, time: float = 1.0, x0: float = None):
+    def __init__(self, gen: VectorFieldGen, time: float = 1.0):
         if not time > 0:
-            raise NotExpanding("flow-generated maps require time > 0")
+            raise InvalidInput(f"flow time must be positive, got {time}")
         self.gen = gen
         self.time = float(time)
-        self.chart = AbelChart(gen, x0=x0)
+        self.chart = AbelChart(gen)
         self.domain_hint = self.chart.max_start_for(self.time)
 
     def __repr__(self):
@@ -293,7 +296,7 @@ class FlowGenerated(HalfLineDiffeo):
     def _eval_raw(self, x):
         return self.chart.flow_map(self.time, x)
 
-    def inverse_value(self, y, rtol=1e-13):
+    def inverse_value(self, y):
         if y == 0.0:
             return 0.0
         if y < 0:
@@ -319,7 +322,7 @@ class IterateMap(HalfLineDiffeo):
 
     def __init__(self, base: HalfLineDiffeo, power: int):
         if power == 0:
-            raise ValueError("use the identity explicitly rather than power 0")
+            raise InvalidInput("use the identity rather than power 0")
         self.base = base
         self.power = int(power)
         self.domain_hint = self._forward_domain()
@@ -346,7 +349,7 @@ class IterateMap(HalfLineDiffeo):
             raise DomainExceeded("half-line maps are defined for x >= 0")
         return self._eval_raw(x)
 
-    def inverse_value(self, y, rtol=1e-13):
+    def inverse_value(self, y):
         return iterate(self.base, -self.power, y)
 
     def jets(self, order):
@@ -507,28 +510,25 @@ def check_jet_consistency(phi: HalfLineDiffeo, jets: JetData, k_max=3,
 # germ descriptors (JSON dicts consumed by the CLI)
 
 def from_germ(desc: dict) -> HalfLineDiffeo:
-    """Build a map from its JSON germ descriptor."""
-    kind = desc.get("kind")
+    """Build a map from its JSON germ descriptor, else ``InvalidInput``."""
+    kind = require_object(desc, "a germ descriptor").get("kind")
     if kind == "linear":
-        return Linear(mu=float(desc["mu"]))
+        return Linear(mu=read_number(desc, "mu"))
     if kind == "takens":
-        return TakensPoly(
-            n=int(desc["n"]), alpha=float(desc["alpha"]),
-            x1=float(desc.get("x1", 0.25)),
-        )
+        return TakensPoly(n=read_number(desc, "n", int),
+                          alpha=read_number(desc, "alpha"),
+                          x1=read_number(desc, "x1", default=0.25))
     if kind == "flow":
-        rho = desc["rho"]
+        rho = require_object(desc.get("rho"), "'rho'")
         if rho.get("kind") == "poly":
-            gen = VectorFieldGen.poly(n=int(rho["n"]), a=float(rho.get("a", 0.0)))
+            gen = VectorFieldGen.poly(n=read_number(rho, "n", int),
+                                      a=read_number(rho, "a", default=0.0))
         elif rho.get("kind") == "flat":
             form = rho.get("form", "exp(-1/x)")
             if form != "exp(-1/x)":
-                raise ValueError(f"unsupported flat generator form {form!r}")
+                raise InvalidInput(f"unsupported flat generator form {form!r}")
             gen = VectorFieldGen.flat()
         else:
-            raise ValueError(f"unknown generator kind {rho.get('kind')!r}")
-        time = float(desc.get("time", 1.0))
-        if not time > 0:
-            raise ValueError(f"flow time must be positive, got {time}")
-        return FlowGenerated(gen, time=time)
-    raise ValueError(f"unknown germ kind {kind!r}")
+            raise InvalidInput(f"unknown generator kind {rho.get('kind')!r}")
+        return FlowGenerated(gen, time=read_number(desc, "time", default=1.0))
+    raise InvalidInput(f"unknown germ kind {kind!r}")

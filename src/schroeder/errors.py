@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by every module of the package."""
+"""Exception hierarchy shared by every module of the package.
+
+``InvalidInput`` and its subclass ``DecayViolation`` reject input (CLI exit
+code 2); every other ``SchroederError`` is a numerical failure (exit 3).
+"""
 
 
 class SchroederError(Exception):
@@ -41,7 +45,11 @@ class NoConvergence(SchroederError):
     """An iteration limit was reached before the tolerance was met."""
 
 
-class DecayViolation(SchroederError):
+class InvalidInput(SchroederError, ValueError):
+    """Input outside the hypotheses or the format a function accepts."""
+
+
+class DecayViolation(InvalidInput):
     """Fourier coefficients violate the declared decay profile."""
 
 
@@ -78,5 +86,20 @@ class StepTooSmall(SchroederError):
     """Finite differences lost all significant digits."""
 
 
-class ConfigError(SchroederError):
-    """Invalid run configuration (CLI exit code 2)."""
+ConfigError = InvalidInput   # a rejected CLI configuration
+
+
+def require_object(value, what):
+    """``value`` if it is a dict (a JSON object), else ``InvalidInput``."""
+    if not isinstance(value, dict):
+        raise InvalidInput(f"{what} must be an object, got {value!r}")
+    return value
+
+
+def read_number(spec, key, cast=float, default=None):
+    """``cast(spec.get(key, default))``, else ``InvalidInput`` naming key."""
+    value = spec.get(key, default)
+    try:
+        return cast(value)
+    except (OverflowError, TypeError, ValueError):
+        raise InvalidInput(f"{key!r} must be a number, got {value!r}")

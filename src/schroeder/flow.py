@@ -30,6 +30,7 @@ from .errors import (
     BlowUp,
     CentralizerNotFlow,
     DomainError,
+    InvalidInput,
     NoConvergence,
     NotExpanding,
     QuadratureFail,
@@ -71,7 +72,9 @@ class VectorFieldGen:
     @classmethod
     def poly(cls, n: int, a: float = 0.0, saturation: float = math.inf):
         if n < 2:
-            raise ValueError("polynomial generators need leading order n >= 2")
+            raise InvalidInput("polynomial generators need order n >= 2")
+        if not math.isfinite(a):
+            raise InvalidInput(f"the coefficient a must be finite, got {a}")
         return cls(kind="poly", n=n, a=a, saturation=float(saturation))
 
     @classmethod
@@ -110,7 +113,7 @@ class AbelChart:
     operations are read-only.
     """
 
-    def __init__(self, gen: VectorFieldGen, x0=None):
+    def __init__(self, gen: VectorFieldGen):
         self.gen = gen
         if gen.kind == "poly":
             bound = gen.positivity_bound
@@ -120,13 +123,9 @@ class AbelChart:
                                       self.domain_sup)
         else:
             self.domain_sup = 10.0
-        if x0 is None:
-            # x0 = 1 whenever the chart reaches that far, else mid-domain
-            lid = min(gen.saturation, self.domain_sup)
-            x0 = 1.0 if lid >= 1.0 else lid / 2.0
-        if not x0 > 0:
-            raise DomainError("base point x0 must be positive")
-        self.x0 = float(x0)
+        # x0 = 1 whenever the chart reaches that far, else mid-domain
+        lid = min(gen.saturation, self.domain_sup)
+        self.x0 = 1.0 if lid >= 1.0 else lid / 2.0
         self._t_sup = self._t_dom = math.inf
         if gen.kind == "flat":
             return
@@ -150,7 +149,11 @@ class AbelChart:
         # P(u) = u**(1-n)/(1-n) + (a/(n-1)) log(u**(1-n) + a), P' = 1/rho;
         # the log of u**(1-n) + a, not of 1 + a u**(n-1), keeps large u exact
         n, a = self.gen.n, self.gen.a
-        w = u ** (1 - n)
+        try:
+            w = u ** (1 - n)
+        except OverflowError:
+            raise DomainError(f"the Abel time at x={u} overflows floats "
+                              f"(n = {n})")
         if a == 0.0:
             return w / (1 - n)
         return w / (1 - n) + a / (n - 1) * math.log(w + a)

@@ -9,7 +9,7 @@ handled here fix the origin, so ``c[0] == 0`` throughout.
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import LengthMismatch
+from .errors import InvalidInput, LengthMismatch
 
 
 def truncate(c, order):
@@ -48,7 +48,7 @@ def series_compose(f, g, order):
     """f(g(x)) truncated at ``order``; requires g[0] == 0."""
     g = truncate(g, order)
     if g[0] != 0:
-        raise ValueError("inner series must fix the origin")
+        raise InvalidInput("inner series must fix the origin")
     f = truncate(f, order)
     # Horner on powers of g
     out = [0] * (order + 1)
@@ -63,7 +63,7 @@ def series_inverse(f, order):
     """Compositional inverse of f with f[0]=0, f[1] != 0."""
     f = truncate(f, order)
     if f[0] != 0 or f[1] == 0:
-        raise ValueError("series must fix 0 with invertible linear part")
+        raise InvalidInput("series must fix 0 with invertible linear part")
     inv1 = Fraction(1, 1) / f[1] if isinstance(f[1], (int, Fraction)) else 1.0 / f[1]
     g = [0, inv1] + [0] * (order - 1)
     # Newton-free degree-by-degree solve of f(g(x)) = x
@@ -90,7 +90,7 @@ def lie_exponential_jets(rho, order):
     if val is None:
         return identity_series(order)
     if val < 2:
-        raise ValueError("generator must vanish to second order at 0")
+        raise InvalidInput("generator must vanish to second order at 0")
     term = identity_series(order)
     total = list(term)
     k = 0

@@ -29,6 +29,7 @@ from .errors import (
     DegreeOverflow,
     DomainError,
     DomainExceeded,
+    InvalidInput,
     NonResonantRequest,
     StepTooSmall,
 )
@@ -37,6 +38,7 @@ from .report import VerificationReport
 
 MODE_CAP = 64          # largest Fourier mode index handled by default
 LAYER_CAP = 8          # largest polynomial degree in Abel time
+FLATNESS_WINDOW = 5    # grid points the flatness verdict judges
 DECAY_P = 6            # power-law decay exponent demanded of coefficients
 DECAY_ALLOWANCE = 4.0 ** DECAY_P
 
@@ -55,11 +57,13 @@ class LambdaBranch:
     theta0: float
 
     def __post_init__(self):
-        if not abs(self.lam) > 1:
-            raise ValueError("|lambda| must exceed 1")
+        if not (cmath.isfinite(self.lam) and abs(self.lam) > 1
+                and math.isfinite(self.theta0)):
+            raise InvalidInput(f"need finite |lambda| > 1 and theta0, got "
+                               f"{self.lam} and {self.theta0}")
         if abs(cmath.exp(complex(self.R, self.theta0)) - self.lam) \
                 > 1e-14 * abs(self.lam):
-            raise ValueError("theta0 is not an imaginary part of log(lambda)")
+            raise InvalidInput("theta0 is not an argument of lambda")
 
     @classmethod
     def principal(cls, lam):
@@ -93,7 +97,11 @@ def _check_decay(coeffs, p=DECAY_P, allowance=DECAY_ALLOWANCE):
 
 
 def _clean(layer):
-    return {int(l): complex(v) for l, v in layer.items() if v != 0}
+    try:
+        return {int(l): complex(v) for l, v in layer.items() if v != 0}
+    except (OverflowError, TypeError, ValueError):
+        raise InvalidInput(f"coefficients map integer modes to numbers, "
+                           f"got {layer}")
 
 
 @dataclass(frozen=True)
@@ -160,19 +168,18 @@ def base_solution(branch, chart):
 def fourier_basis(branch, chart, l):
     """Eigenfunction of the l-th logarithm branch, normalized to 1 at x0."""
     if abs(l) > MODE_CAP:
-        raise ValueError(f"mode {l} beyond the cap {MODE_CAP}")
+        raise InvalidInput(f"mode {l} beyond the cap {MODE_CAP}")
     return SchroederSolution(branch=branch, chart=chart,
                              layers=({int(l): 1.0 + 0.0j},))
 
 
-def synthesize(branch, chart, coeffs, check_decay=True):
+def synthesize(branch, chart, coeffs):
     """Single-layer solution with the given mode coefficients."""
     coeffs = _clean(coeffs)
     for l in coeffs:
         if abs(l) > MODE_CAP:
-            raise ValueError(f"mode {l} beyond the cap {MODE_CAP}")
-    if check_decay:
-        _check_decay(coeffs)
+            raise InvalidInput(f"mode {l} beyond the cap {MODE_CAP}")
+    _check_decay(coeffs)
     if not coeffs:
         return zero_solution(branch, chart)
     return SchroederSolution(branch=branch, chart=chart, layers=(coeffs,))
@@ -181,9 +188,9 @@ def synthesize(branch, chart, coeffs, check_decay=True):
 def add_solutions(ca, sol_a, cb, sol_b):
     """ca * sol_a + cb * sol_b at the coefficient level."""
     if sol_a.branch != sol_b.branch:
-        raise ValueError("solutions live over different multiplier branches")
+        raise InvalidInput("solutions live over different multiplier branches")
     if sol_a.chart is not sol_b.chart:
-        raise ValueError("solutions live over different charts")
+        raise InvalidInput("solutions live over different charts")
     d = max(len(sol_a.layers), len(sol_b.layers))
     layers = []
     for j in range(d):
@@ -224,7 +231,10 @@ def eval_solution(sol, x):
     mag = sol.branch.R * tf + max(top, 0) * math.log(max(abs(tf), 1.0))
     if mag < -745.0:
         return 0.0 + 0.0j
-    base = cmath.exp(sol.branch.log_value(0) * tf)
+    try:
+        base = cmath.exp(sol.branch.log_value(0) * tf)
+    except OverflowError:
+        raise DomainError(f"the solution overflows floats at x={x}")
     total = 0.0 + 0.0j
     for j, layer in enumerate(sol.layers):
         if not layer:
@@ -283,10 +293,10 @@ def _check_phi_matches(sol, phi):
     chart = getattr(phi, "chart", None)
     if chart is not None and chart is not sol.chart:
         if chart.gen != sol.chart.gen or chart.x0 != sol.chart.x0:
-            raise ValueError("phi does not generate the solution's chart")
+            raise InvalidInput("phi does not generate the solution's chart")
     time = getattr(phi, "time", 1.0)
     if time != 1.0:
-        raise ValueError("the operator is the pullback of the time-1 map")
+        raise InvalidInput("the operator is the pullback of the time-1 map")
 
 
 def chain_solution(b1):
@@ -299,7 +309,7 @@ def chain_solution(b1):
     if b1.is_zero:
         return b1
     if b1.degree != 0:
-        raise ValueError("chain step starts from a degree-0 solution")
+        raise InvalidInput("chain step starts from a degree-0 solution")
     lam = b1.branch.lam
     layer1 = {l: v / lam for l, v in b1.layers[0].items()}
     return SchroederSolution(branch=b1.branch, chart=b1.chart,
@@ -315,7 +325,7 @@ def jordan_solve(branch, chart, M, seeds=None):
     mode), adding the seed kernel element at every level.
     """
     if M < 1:
-        raise ValueError("M >= 1 required")
+        raise InvalidInput("M >= 1 required")
     if M - 1 > LAYER_CAP:
         raise DegreeOverflow(f"M = {M} exceeds the layer cap {LAYER_CAP + 1}")
     seeds = list(seeds or [])
@@ -361,14 +371,16 @@ class NonResonant:
 def classify_resonance(mu, lam, n_max=32):
     """Resonant(n) iff lambda = mu**n within 1e-9 relative, n <= n_max."""
     if not mu > 1:
-        raise ValueError("mu > 1 required")
+        raise InvalidInput("mu > 1 required")
     if not abs(lam) > 1:
-        raise ValueError("|lambda| > 1 required")
+        raise InvalidInput("|lambda| > 1 required")
     power = 1.0
     for n in range(1, n_max + 1):
         power *= mu
         if abs(complex(lam) - power) <= 1e-9 * power:
             return Resonant(n)
+        if power > 2.0 * abs(lam):   # mu**n only grows from here
+            break
     return NonResonant()
 
 
@@ -379,12 +391,13 @@ def jet_constraints(mu, lam, order):
     appears in the resonant case and none otherwise.
     """
     if order < 1:
-        raise ValueError("order >= 1 required")
+        raise InvalidInput("order >= 1 required")
     rows = []
     power = 1.0
     for k in range(1, order + 1):
         power *= mu
-        forced = abs(complex(lam) - power) > 1e-9 * power
+        # past the float range mu**k matches no lambda (|lam - inf| = inf)
+        forced = math.isinf(power) or abs(complex(lam) - power) > 1e-9 * power
         rows.append((k, forced))
     return rows
 
@@ -460,9 +473,9 @@ def verify_residual(sol, phi, grid, equation="I", prev=None, rel_tol=1e-8):
     point whose image escapes the flow window fails the verdict.
     """
     if equation not in ("I", "II"):
-        raise ValueError("equation must be 'I' or 'II'")
+        raise InvalidInput("equation must be 'I' or 'II'")
     if equation == "II" and prev is None:
-        raise ValueError("chain residual needs the previous chain element")
+        raise InvalidInput("chain residual needs the previous chain element")
     table = residual_rows(sol, sol.branch.lam, phi, grid, prev)
     for row in table:
         row["abel_t"] = float(sol.chart.abel_time(row["x"]))
@@ -486,13 +499,20 @@ def _fd_derivative(fn, x, k, h):
 def verify_flatness(sol, k_max, x_grid, final_tol=1e-6):
     """Finite-difference decay table of |beta^(k)| toward x = 0.
 
-    Columns k = 1..k_max are estimated at each grid point (grid must
-    decrease toward 0); the verdict demands each column be non-increasing
-    over the final five points and end below ``final_tol``.
+    Columns k = 1..k_max >= 1 are estimated at each of five or more grid
+    points decreasing toward 0; the verdict demands each column be
+    non-increasing over the final five points and end below ``final_tol``.
     """
-    xs = [float(x) for x in x_grid]
-    if any(x <= 0 for x in xs) or any(a <= b for a, b in zip(xs, xs[1:])):
-        raise DomainError("x_grid must be positive and strictly decreasing")
+    try:
+        xs = [float(x) for x in x_grid]
+    except (OverflowError, TypeError, ValueError):
+        xs = []
+    if len(xs) < FLATNESS_WINDOW or not (
+            xs[-1] > 0 and all(a > b for a, b in zip(xs, xs[1:]))):
+        raise InvalidInput(f"x_grid needs {FLATNESS_WINDOW} or more positive, "
+                           f"strictly decreasing numbers, got {x_grid!r}")
+    if not k_max >= 1:
+        raise InvalidInput(f"flatness needs k_max >= 1, got {k_max}")
 
     fn = lambda x: abs(complex(sol(x)))
     if isinstance(sol, SchroederSolution):
@@ -510,12 +530,16 @@ def verify_flatness(sol, k_max, x_grid, final_tol=1e-6):
         if h > h_want * 1.0001 and any(v != 0.0 for v in stencil_vals):
             raise StepTooSmall(
                 f"step {h_want:.3e} at x={x} is below float spacing")
-        for k in range(1, k_max + 1):
-            columns[k].append(abs(_fd_derivative(fn, x, k, h)))
+        try:
+            for k in range(1, k_max + 1):
+                columns[k].append(abs(_fd_derivative(fn, x, k, h)))
+        except (OverflowError, ZeroDivisionError):
+            raise StepTooSmall(f"h**{k} at step {h:.3e} and x={x} leaves "
+                               "the float range")
 
     report = VerificationReport(
         kind="flatness",
-        tolerances={"final_tol": final_tol, "window": 5})
+        tolerances={"final_tol": final_tol, "window": FLATNESS_WINDOW})
     table = []
     for i, x in enumerate(xs):
         row = {"x": x}
@@ -524,7 +548,7 @@ def verify_flatness(sol, k_max, x_grid, final_tol=1e-6):
         table.append(row)
     report.tables["derivatives"] = table
     for k in range(1, k_max + 1):
-        col = columns[k][-5:]
+        col = columns[k][-FLATNESS_WINDOW:]
         mono = all(a >= b - 1e-12 * max(abs(a), 1.0)
                    for a, b in zip(col, col[1:]))
         worst_step = max((b - a for a, b in zip(col, col[1:])), default=0.0)
@@ -550,15 +574,23 @@ def solution_to_coeff_dict(sol):
 
 
 def solution_from_coeff_dict(data, chart):
-    lam = complex(data["lambda"]["re"], data["lambda"].get("im", 0.0))
-    theta0 = data.get("theta0")
+    """Inverse of ``solution_to_coeff_dict``; other data is InvalidInput."""
+    try:
+        lam = complex(data["lambda"]["re"], data["lambda"].get("im", 0.0))
+        theta0 = data.get("theta0")
+        theta0 = None if theta0 is None else float(theta0)
+        layers = {}
+        for entry in data.get("layers", []):
+            j = int(entry["j"])
+            layers[j] = {int(c["l"]): complex(c["re"], c.get("im", 0.0))
+                         for c in entry.get("coeffs", [])}
+    except (AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
+        raise InvalidInput(f"not a coefficient file: {exc!r}")
+    if not all(0 <= j <= LAYER_CAP for j in layers):
+        raise InvalidInput(f"layer indices must lie in 0..{LAYER_CAP}")
     branch = (LambdaBranch(lam, theta0) if theta0 is not None
               else LambdaBranch.principal(lam))
-    layers = {}
-    for entry in data.get("layers", []):
-        j = int(entry["j"])
-        layers[j] = {int(c["l"]): complex(c["re"], c.get("im", 0.0))
-                     for c in entry.get("coeffs", [])}
     if not layers:
         return zero_solution(branch, chart)
     d = max(layers)

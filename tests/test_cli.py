@@ -207,6 +207,18 @@ def test_exit_code_config_errors(tmp_path, capsys):
         ("verify", {"germ": FLOW_GERM, "lambda": 2.0, "coeffs": {"x": 1.0}}),
         ("verify", {"germ": FLOW_GERM, "lambda": 2.0,
                     "coeffs": {"layers": []}}),
+        ("verify", {"germ": "x", "lambda": 2.0}),
+        ("verify", {"germ": [1], "lambda": 2.0}),
+        ("verify", {"germ": {"kind": "flow", "rho": "x"}, "lambda": 2.0}),
+        ("verify", {"germ": FLOW_GERM, "lambda": 2.0, "grid": "x"}),
+        ("verify", {"germ": FLOW_GERM, "lambda": 2.0, "grid": 5}),
+        # not rapidly decreasing: rejected before any numerics run
+        ("verify", {"germ": FLOW_GERM, "lambda": 2.0,
+                    "coeffs": {"0": 1, "5": 1}}),
+        # fewer points than the five-point window cannot show a decay
+        ("flatness", {"germ": FLOW_GERM, "lambda": 2.0, "x_grid": [0.003]}),
+        ("flatness", {"germ": FLOW_GERM, "lambda": 2.0,
+                      "x_grid": [0.1, 0.05, 0.025, 0.0125]}),
     ]
     for i, (command, payload) in enumerate(rows):
         capsys.readouterr()
@@ -214,6 +226,27 @@ def test_exit_code_config_errors(tmp_path, capsys):
         out = str(tmp_path / f"row{i}")
         assert main([command, "--config", cfg, "--out", out]) == 2, payload
         assert "Traceback" not in capsys.readouterr().err
+
+
+def test_output_path_that_is_a_file_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "r.json", {"mu": 2, "lambda": 4.0})
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["resonance", "--config", cfg, "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_poly_chart_float_overflow_exits_3(tmp_path, capsys):
+    # t(x) = x**(1 - n) / (1 - n) leaves the float range at x = 1e-3
+    cfg = write_config(tmp_path, "n400.json", {
+        "germ": {"kind": "flow", "rho": {"kind": "poly", "n": 400}},
+        "lambda": 2.0})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    rep = load_report(out)
+    assert rep["status"] == "numerical-failure"
+    assert rep["summary"]["error_type"] == "DomainError"
 
 
 def test_determinism_modulo_timestamp(tmp_path):
@@ -308,3 +341,32 @@ def test_verify_escaping_grid_fails(tmp_path):
     assert by_name["max_residual_rel"]["pass"] is False
     rows = list(csv.DictReader(open(out / "residuals.csv")))
     assert math.isnan(float(rows[-1]["residual_I_rel"]))
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+README_EXAMPLE = {
+    "germ": FLOW_GERM, "lambda": {"re": 2.0, "im": 1.0},
+    "coeffs": {"0": 1.0, "1": 0.5, "-1": 0.5},
+    "grid": {"min": 0.001, "max": 0.9, "count": 64, "spacing": "log"}}
+
+
+@pytest.mark.parametrize("payload, status", [
+    (README_EXAMPLE, "pass"),
+    (ESCAPING, "fail"),
+])
+def test_report_is_strict_json(tmp_path, payload, status):
+    cfg = write_config(tmp_path, "v.json", payload)
+    out = tmp_path / "out"
+    main(["verify", "--config", cfg, "--out", str(out)])
+    rep = json.loads((out / "report.json").read_text(),
+                     parse_constant=_reject_constant)
+    assert rep["status"] == status
+    by_name = {c["name"]: c for c in rep["report"]["checks"]}
+    # non-finite floats are the strings that float() reads back
+    assert by_name["max_residual_abs"]["tolerance"] == "inf"
+    if status == "fail":
+        assert by_name["max_residual_rel"]["value"] == "nan"
+        assert math.isnan(float(rep["summary"]["max_residual_rel"]))

@@ -266,6 +266,12 @@ def test_jet_constraints_examples():
     assert [k for k, forced in rows if not forced] == [1]
 
 
+def test_resonance_past_the_float_range():
+    # 2**1024 overflows to inf, and |3 - inf| <= 1e-9 inf would hold
+    assert S.classify_resonance(2, 3, n_max=2000) == S.NonResonant()
+    assert all(forced for _, forced in S.jet_constraints(2, 3, 2000))
+
+
 @pytest.mark.parametrize("mu,lam", [(2, 2), (2, 4), (2, 8), (3, 9),
                                     (2, 3), (2, 5), (2, 4.1), (1.5, 2 + 1j)])
 def test_resonance_dichotomy_agreement(mu, lam):
@@ -388,7 +394,8 @@ def test_flatness_negative_control_quadratic():
 
 def test_flatness_step_too_small():
     with pytest.raises(StepTooSmall):
-        S.verify_flatness(lambda x: 1.0 + x, 2, [1e-10, 1e-11, 1e-12])
+        S.verify_flatness(lambda x: 1.0 + x, 2,
+                          [1e-10, 1e-11, 1e-12, 1e-13, 1e-14])
 
 
 def test_flatness_requires_decreasing_grid(setup_x2):
