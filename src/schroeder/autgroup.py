@@ -7,6 +7,11 @@ b a solution of ``b(phi(x)) = lam b(x)`` and ``phi**t`` in the flow
 centralizer of phi; elements are normalized modulo the deck relation
 ``(a, b, t) ~ (lam a, lam b, t + 1)`` into t in [0, 1).
 
+The flow ``phi**t`` is the generator's flow when phi has one.  For linear
+holonomy (``mu = phi'(0) > 1``) it is the conjugated scaling
+``phi**t = sigma**-1 o (mu**t .) o sigma = phi**k o (mu**t .) o phi**(-k)``,
+with sigma the Koenigs coordinate and k the depth of its descent.
+
 Translation parts b are coefficient objects: layered Fourier solutions
 (``SchroederSolution``) over an Abel chart when phi is tangent to the
 identity, or multiples of ``sigma**n`` (``Case1Solution``, sigma the
@@ -27,7 +32,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .diffeo import FlowGenerated, HalfLineDiffeo, Linear
+from .diffeo import FlowGenerated, HalfLineDiffeo, iterate
 from .errors import (
     BlowUp,
     BoundaryMismatch,
@@ -35,9 +40,8 @@ from .errors import (
     DomainExceeded,
     InvalidInput,
     MixedComponent,
-    NoBracket,
 )
-from .flow import AbelChart, fractional_iterate, koenigs
+from .flow import AbelChart, _koenigs_descent, fractional_iterate, koenigs
 from .report import VerificationReport
 from .solutions import (
     LambdaBranch,
@@ -83,28 +87,15 @@ class Case1Solution:
         return Case1Solution(self.c + other.c, n, self.mu, self.phi)
 
 
-def _koenigs_flow(phi, t, x, rtol=1e-12):
-    """phi**t through the linearizing coordinate: sigma^-1(mu**t sigma(x)).
+def _koenigs_flow(phi, t, x):
+    """phi**t for linear holonomy: sigma**-1(mu**t sigma(x)).
 
-    The conjugacy turns the flow into pure scaling; the inverse image is
-    recovered by monotone bisection on sigma.
+    With sigma = lim mu**k phi**(-k) this is the conjugation
+    phi**t = phi**k o (mu**t .) o phi**(-k), read at the depth k where the
+    Koenigs descent from x settled.
     """
-    mu = float(phi.jets(2).coefficients[1])
-    target = mu**t * koenigs(phi, x)
-    lo, hi = 0.0, max(x, 1e-6)
-    while koenigs(phi, hi) < target:
-        hi *= 2.0
-        if hi > 1e12:
-            raise NoBracket("linearizing coordinate never reaches the target")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if koenigs(phi, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rtol * max(hi, 1e-300):
-            break
-    return 0.5 * (lo + hi)
+    mu, k, y = _koenigs_descent(phi, x)
+    return iterate(phi, k, mu**t * y)
 
 
 @dataclass(frozen=True)
@@ -155,8 +146,6 @@ class ReebData:
         """phi**t(x): the flow centralizer parameterized by real t."""
         if t == 0 or x == 0:
             return x
-        if isinstance(self.phi, Linear):
-            return self.phi.mu**t * x
         if self.chart is not None:
             return fractional_iterate(self.phi, t, x)
         return _koenigs_flow(self.phi, t, x)

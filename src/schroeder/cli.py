@@ -41,6 +41,9 @@ DEFAULT_TOLERANCES = {
 # step of 0.1 ... 0.00625.
 DEFAULT_FLATNESS_GRID = [0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625]
 
+GRID_COUNT_CAP = 4096   # most points of a sample grid
+AUT_COUNT_CAP = 1000    # most rounds of the aut group-law check
+
 
 def _parse_complex(value, what="lambda"):
     try:
@@ -109,8 +112,9 @@ class RunConfig:
             hi = 0.9 * float(chart.blowup_x(1.0))
         count = read_number(spec, "count", int, default=64)
         spacing = spec.get("spacing", "log")
-        if count < 2:
-            raise InvalidInput("grid count must be at least 2")
+        if not 2 <= count <= GRID_COUNT_CAP:
+            raise InvalidInput(f"grid count must be in 2..{GRID_COUNT_CAP}, "
+                               f"got {count}")
         if not 0 < lo < hi < math.inf:
             raise InvalidInput("grid needs 0 < min < max < inf")
         if spacing == "log":
@@ -261,8 +265,9 @@ def _run_aut(cfg):
     count = read_number(cfg.raw, "count", int, default=25)
     if seed < 0:
         raise InvalidInput("the aut command needs a seed >= 0")
-    if count < 1:
-        raise InvalidInput("the aut command needs count >= 1")
+    if not 1 <= count <= AUT_COUNT_CAP:
+        raise InvalidInput(f"the aut command needs 1 <= count <= "
+                           f"{AUT_COUNT_CAP}, got {count}")
     rng = np.random.default_rng(seed)
     tol = cfg.tolerances["group"]
 

@@ -16,6 +16,7 @@ from .errors import (
     InvalidInput,
     NoBracket,
     NotExpanding,
+    NotExpandingInput,
     read_number,
     require_object,
 )
@@ -174,7 +175,7 @@ class Linear(HalfLineDiffeo):
 
     def __post_init__(self):
         if not self.mu > 1:
-            raise NotExpanding("linear map requires mu > 1")
+            raise NotExpandingInput("linear map requires mu > 1")
 
     domain_hint = math.inf
 
@@ -214,13 +215,13 @@ class TakensPoly(HalfLineDiffeo):
             self.x1 + (x2 - self.x1) * k / 32 for k in range(33)
         ]:
             if self._shift(x) <= 0:
-                raise NotExpanding(f"displacement nonpositive at x={x}")
+                raise NotExpandingInput(f"displacement nonpositive at x={x}")
         prev = 0.0
         for k in range(1, 129):
             x = x2 * 1.05 * k / 128
             y = self._eval_raw(x)
             if y <= prev:
-                raise NotExpanding(f"map not increasing near x={x}")
+                raise NotExpandingInput(f"map not increasing near x={x}")
             prev = y
 
     domain_hint = math.inf
@@ -260,11 +261,11 @@ class PolynomialMap(HalfLineDiffeo):
         if len(c) < 2 or c[0] != 0:
             raise InvalidInput("need c0 = 0 and at least a linear term")
         if c[1] < 1:
-            raise NotExpanding("linear coefficient below 1")
+            raise NotExpandingInput("linear coefficient below 1")
         if any(v < 0 for v in c):
             raise InvalidInput("nonnegative coefficients only")
         if c[1] == 1 and all(v == 0 for v in c[2:]):
-            raise NotExpanding("the identity map is not expanding")
+            raise NotExpandingInput("the identity map is not expanding")
 
     domain_hint = math.inf
 

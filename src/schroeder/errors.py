@@ -1,7 +1,8 @@
 """Exception hierarchy shared by every module of the package.
 
-``InvalidInput`` and its subclass ``DecayViolation`` reject input (CLI exit
-code 2); every other ``SchroederError`` is a numerical failure (exit 3).
+``InvalidInput`` and its subclasses ``DecayViolation`` and
+``NotExpandingInput`` reject input (CLI exit code 2); every other
+``SchroederError`` is a numerical failure (exit 3).
 """
 
 
@@ -53,6 +54,10 @@ class DecayViolation(InvalidInput):
     """Fourier coefficients violate the declared decay profile."""
 
 
+class NotExpandingInput(NotExpanding, InvalidInput):
+    """A map's defining data fail the expansion check at construction."""
+
+
 class DegreeOverflow(SchroederError):
     """Requested Jordan-chain length exceeds the layer cap."""
 
@@ -84,9 +89,6 @@ class BoundaryMismatch(SchroederError):
 
 class StepTooSmall(SchroederError):
     """Finite differences lost all significant digits."""
-
-
-ConfigError = InvalidInput   # a rejected CLI configuration
 
 
 def require_object(value, what):

@@ -38,6 +38,8 @@ from .errors import (
 
 _QUAD_TOL = 1e-13      # quadrature on the smoothstep blend
 _NEWTON_STEPS = 100    # budget of the polynomial chart inversion
+_DESCENT_RTOL = 1e-13  # settling of the Koenigs descent
+_DESCENT_MAX_STEPS = 10_000   # its budget however close mu is to 1
 
 
 def smoothstep(u):
@@ -210,6 +212,18 @@ class AbelChart:
         x = float(x)
         return 40 + (int(0.4343 / x) if x < 1.0 else 0)
 
+    @staticmethod
+    def _asymptotic_guess(s):
+        # |s| ~ y**2 e**(1/y) near 0: solve L = log|s| + 2 log L, y = 1/L
+        logt = 0.0
+        if float(s) != 0:
+            with mp.workdps(30):
+                logt = float(mp.log(abs(mp.mpf(s))))
+        L = max(logt, 3.0)
+        for _ in range(40):
+            L = logt + 2.0 * math.log(L)
+        return 1.0 / L
+
     def _abel_flat(self, x):
         dps = max(self._dps_for_x(x), self._dps_for_x(self.x0))
         with mp.workdps(dps):
@@ -220,13 +234,7 @@ class AbelChart:
         # initial guess for F(y) = F(x0) + s
         sf = float(mp.mpf(s)) if not isinstance(s, float) else s
         if sf < -1e200 or math.isinf(sf):
-            # asymptotics |t| ~ y**2 e**(1/y): solve L = log|t| + 2 log L
-            with mp.workdps(30):
-                logt = float(mp.log(abs(mp.mpf(s))))
-            L = max(logt, 3.0)
-            for _ in range(40):
-                L = logt + 2.0 * math.log(L)
-            guess = 1.0 / L
+            guess = self._asymptotic_guess(s)
         else:
             from scipy.special import expi
 
@@ -240,12 +248,7 @@ class AbelChart:
                 if hi > 1e12:
                     break
             if f_float(lo) - base > sf:
-                with mp.workdps(30):
-                    logt = float(mp.log(abs(mp.mpf(s)))) if sf != 0 else 0.0
-                L = max(logt, 3.0)
-                for _ in range(40):
-                    L = logt + 2.0 * math.log(L)
-                guess = 1.0 / L
+                guess = self._asymptotic_guess(s)
             else:
                 from scipy.optimize import brentq
                 guess = brentq(lambda u: f_float(u) - base - sf, lo, hi,
@@ -375,26 +378,33 @@ def fractional_iterate(phi, t, x):
     return chart.flow_map(t * time, x)
 
 
-def koenigs(phi, x, rtol=1e-12, max_iter=200):
-    """Linearizing coordinate at a hyperbolic (mu > 1) fixed point.
+def _koenigs_descent(phi, x):
+    """(mu, k, y) with y = phi**(-k)(x), at the first k where mu**k y settles.
 
-    sigma(x) = lim mu**k phi**(-k)(x), normalized with sigma'(0) = 1, so
-    sigma(phi(x)) = mu sigma(x).  Inverse iterates contract to 0, making
-    the limit geometric; forward iterates would escape and are never used.
+    Near 0, phi is x -> mu x + O(x**2), so the limit is geometric.  The stop
+    is relative, so small x converge like large ones; 1e-13 stays above
+    the 5e-14 relative error of one ``inverse_value``.
     """
     mu = float(phi.jets(2).coefficients[1])
     if not mu > 1:
         raise NotExpanding("Koenigs limit requires phi'(0) > 1 (Case 1)")
-    if x == 0:
-        return 0.0
+    # enough steps to contract any x by e**-64
+    budget = min(int(64 / math.log(mu)) + 8, _DESCENT_MAX_STEPS)
     y = float(x)
-    scale = 1.0
     prev = None
-    for _ in range(max_iter):
+    for k in range(1, budget + 1):
         y = phi.inverse_value(y)
-        scale *= mu
-        cur = scale * y
-        if prev is not None and abs(cur - prev) <= rtol * max(1.0, abs(cur)):
-            return cur
+        cur = mu**k * y
+        if prev is not None and abs(cur - prev) <= _DESCENT_RTOL * abs(cur):
+            return mu, k, y
         prev = cur
-    raise NoConvergence(f"Koenigs limit did not settle in {max_iter} steps")
+    raise NoConvergence(f"Koenigs limit did not settle in {budget} steps")
+
+
+def koenigs(phi, x):
+    """Linearizing coordinate sigma = lim mu**k phi**(-k) at a hyperbolic
+    (mu = phi'(0) > 1) fixed point: sigma'(0) = 1 and
+    sigma(phi(x)) = mu sigma(x), so phi**t = sigma**-1 o (mu**t .) o sigma.
+    """
+    mu, k, y = _koenigs_descent(phi, x)
+    return mu**k * y

@@ -39,6 +39,8 @@ from .report import VerificationReport
 MODE_CAP = 64          # largest Fourier mode index handled by default
 LAYER_CAP = 8          # largest polynomial degree in Abel time
 FLATNESS_WINDOW = 5    # grid points the flatness verdict judges
+K_MAX_CAP = 5000       # highest derivative order verify_flatness estimates
+DEGREE_CAP = 100_000   # highest power mu**k the resonance checks scan
 DECAY_P = 6            # power-law decay exponent demanded of coefficients
 DECAY_ALLOWANCE = 4.0 ** DECAY_P
 
@@ -374,6 +376,8 @@ def classify_resonance(mu, lam, n_max=32):
         raise InvalidInput("mu > 1 required")
     if not abs(lam) > 1:
         raise InvalidInput("|lambda| > 1 required")
+    if n_max > DEGREE_CAP:
+        raise InvalidInput(f"n_max must be at most {DEGREE_CAP}, got {n_max}")
     power = 1.0
     for n in range(1, n_max + 1):
         power *= mu
@@ -390,8 +394,8 @@ def jet_constraints(mu, lam, order):
     Returns (k, forced_zero) for k = 1..order; exactly one unforced degree
     appears in the resonant case and none otherwise.
     """
-    if order < 1:
-        raise InvalidInput("order >= 1 required")
+    if not 1 <= order <= DEGREE_CAP:
+        raise InvalidInput(f"order must be in 1..{DEGREE_CAP}, got {order}")
     rows = []
     power = 1.0
     for k in range(1, order + 1):
@@ -511,8 +515,9 @@ def verify_flatness(sol, k_max, x_grid, final_tol=1e-6):
             xs[-1] > 0 and all(a > b for a, b in zip(xs, xs[1:]))):
         raise InvalidInput(f"x_grid needs {FLATNESS_WINDOW} or more positive, "
                            f"strictly decreasing numbers, got {x_grid!r}")
-    if not k_max >= 1:
-        raise InvalidInput(f"flatness needs k_max >= 1, got {k_max}")
+    if not 1 <= k_max <= K_MAX_CAP:
+        raise InvalidInput(f"flatness needs 1 <= k_max <= {K_MAX_CAP}, "
+                           f"got {k_max}")
 
     fn = lambda x: abs(complex(sol(x)))
     if isinstance(sol, SchroederSolution):

@@ -206,15 +206,25 @@ def test_tangency_without_generator_rejected_at_construction():
 
 
 def test_case1_polynomial_map_flow():
-    # phi = 2x + x^2 linearizes through log(1+x): the half iterate is
-    # sigma^-1(sqrt(2) sigma(x)) = (1+x)**sqrt(2) - 1
+    # phi = 2x + x^2 linearizes through log(1+x): the time-t map is
+    # sigma^-1(2**t sigma(x)) = expm1(2**t log1p(x))
     data = A.ReebData(branch=S.LambdaBranch.principal(4.0),
                       phi=D.PolynomialMap((0, 2.0, 1.0)))
+    for t in (-0.5, 0.25, 0.5, 0.9):
+        for x in np.geomspace(1e-3, 0.5, 12):
+            want = math.expm1(2.0**t * math.log1p(x))
+            assert data.flow(t, x) == pytest.approx(want, rel=1e-11, abs=0.0)
     x = 0.3
-    half = data.flow(0.5, x)
-    assert half == pytest.approx((1 + x) ** math.sqrt(2) - 1, rel=1e-9)
-    again = data.flow(0.5, half)
-    assert again == pytest.approx(data.phi(x), rel=1e-9)
+    assert data.flow(0.5, data.flow(0.5, x)) == pytest.approx(
+        data.phi(x), rel=1e-9)
+    # near mu = 1 the descent is long; the flow still obeys the semigroup law
+    slow = A.ReebData(branch=S.LambdaBranch.principal(1.05**2),
+                      phi=D.PolynomialMap((0, 1.05, 1.0)))
+    for s, t in ((0.3, 0.4), (0.5, 0.5), (0.9, -0.4)):
+        assert slow.flow(s, slow.flow(t, x)) == pytest.approx(
+            slow.flow(s + t, x), rel=1e-9)
+    assert slow.flow(0.5, slow.flow(0.5, x)) == pytest.approx(
+        slow.phi(x), rel=1e-9)
 
 
 # -- kernel structure -------------------------------------------------------------------

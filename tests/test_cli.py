@@ -219,6 +219,10 @@ def test_exit_code_config_errors(tmp_path, capsys):
         ("flatness", {"germ": FLOW_GERM, "lambda": 2.0, "x_grid": [0.003]}),
         ("flatness", {"germ": FLOW_GERM, "lambda": 2.0,
                       "x_grid": [0.1, 0.05, 0.025, 0.0125]}),
+        # a germ that is not expanding is rejected input, not a failure
+        ("fiber", {"lambda": 2.0, "germ": {"kind": "linear", "mu": 0.5}}),
+        ("fiber", {"lambda": 2.0,
+                   "germ": {"kind": "takens", "n": 2, "alpha": -50}}),
     ]
     for i, (command, payload) in enumerate(rows):
         capsys.readouterr()

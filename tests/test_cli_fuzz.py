@@ -3,7 +3,8 @@
 Each key of a config draws either a valid value or an invalid one (wrong
 type, out of range, non-finite, malformed nesting).  Flat germs always get
 a grid with min >= 1e-2: a flat flow at x = 1e-3 costs about a second.
-Grids have at most 32 points and ``aut`` runs at most 2 rounds.
+Valid grids have at most 32 points and ``aut`` runs at most 2 rounds;
+sizes just above their caps, and huge ones, must be rejected as input.
 """
 
 import contextlib
@@ -16,15 +17,15 @@ import tempfile
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from schroeder.cli import main
+from schroeder.cli import AUT_COUNT_CAP, GRID_COUNT_CAP, main
+from schroeder.solutions import DEGREE_CAP, K_MAX_CAP
 
 POLY_RHO = {"kind": "poly", "n": 2, "a": 0.0}
 POLY = {"kind": "flow", "rho": POLY_RHO, "time": 1.0}
 FLAT = {"kind": "flow", "rho": {"kind": "flat", "form": "exp(-1/x)"}}
 FLAT_GRID = {"min": 1e-2, "max": 0.9, "count": 8}
 
-# values of the wrong type or outside every range, shared by all keys;
-# sizes (order, k_max, counts) have no upper bound yet, so no huge ints
+# values of the wrong type or outside every range, shared by all keys
 JUNK = ["x", "", [1], {"a": 1}, None, -1, 0, True,
         math.inf, -math.inf, math.nan]
 HUGE = 10**400   # an int that float() cannot convert
@@ -81,7 +82,8 @@ GRIDS = key(
     [{"count": 1}, {"min": 0.9, "max": 0.1}, {"max": 0.9, "spacing": "x"},
      {"max": 0.9, "count": "x"}, {"min": math.nan, "max": 0.9},
      {"min": HUGE, "max": 0.9},
-     {"min": 1e-3, "max": math.inf, "count": 4}, {"max": [1]}])
+     {"min": 1e-3, "max": math.inf, "count": 4}, {"max": [1]},
+     {"max": 0.9, "count": GRID_COUNT_CAP + 1}, {"max": 0.9, "count": HUGE}])
 
 X_GRIDS = key(
     [[0.2, 0.1, 0.05, 0.025, 0.0125],
@@ -98,12 +100,12 @@ KEYS = {
     "coeffs": COEFFS,
     "grid": GRIDS,
     "x_grid": X_GRIDS,
-    "k_max": key([1, 2, 5], [2.5, 300]),
+    "k_max": key([1, 2, 5], [2.5, 300, K_MAX_CAP + 1, HUGE]),
     "mu": key([2, 2.0, 1.5], [0.5, 1, HUGE]),
-    "order": key([1, 10], [2.5]),
-    "n_max": key([4, 32], [2000, HUGE]),
+    "order": key([1, 10], [2.5, DEGREE_CAP + 1, HUGE]),
+    "n_max": key([4, 32], [2000, DEGREE_CAP + 1, HUGE]),
     "seed": key([0, 7], [2.5]),
-    "count": key([1, 2]),
+    "count": key([1, 2], [AUT_COUNT_CAP + 1, HUGE]),
     "a1": key([1.0, 2.0, {"re": 0.5, "im": 1.0}, "2+1j"],
               [{"re": "x"}, HUGE]),
     "a2": key([1.0, 2.0 * math.e], [{"re": "x"}]),
@@ -128,9 +130,7 @@ def _bounded(config):
     # the cost bounds of the module docstring
     if config.get("germ") == FLAT:
         config["grid"] = FLAT_GRID
-    count = config.get("count", math.inf)   # aut defaults to 25 rounds
-    if isinstance(count, (int, float)) and not count <= 2:
-        config["count"] = 2
+    config.setdefault("count", 2)   # aut defaults to 25 rounds
     return config
 
 
