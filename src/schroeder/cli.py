@@ -159,7 +159,7 @@ def emit_solution_table(solution, phi, grid, path):
     """
     rows = sol.residual_rows(solution, solution.branch.lam, phi, grid)
     for row in rows:
-        row["abel_t"] = float(solution.chart.abel_time(row["x"]))
+        row["abel_t"] = solution.chart.abel_time_float(row["x"])
     _write_residual_csv(path, rows)
     report = VerificationReport(kind="solution-table", tolerances={})
     report.add_check("max_residual_rel_sampled", sol.sup_residual(

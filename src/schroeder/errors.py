@@ -46,6 +46,10 @@ class NoConvergence(SchroederError):
     """An iteration limit was reached before the tolerance was met."""
 
 
+class PrecisionExceeded(SchroederError):
+    """A computation needs more digits than its precision cap allows."""
+
+
 class InvalidInput(SchroederError, ValueError):
     """Input outside the hypotheses or the format a function accepts."""
 

@@ -18,6 +18,24 @@ Two generator families are supported:
   closed primitive ``u e**(1/u) - Ei(1/u)``.  Its values overflow every
   fixed-width float long before x reaches 1e-3, so this chart works in
   adaptive-precision arithmetic (mpmath) and returns ``mpf`` reals.
+
+The flat chart spends digits only where a result needs them:
+
+* ``abel_time`` keeps the difference grade: a time difference
+  t(y) - t(x) of order 1 sits about 0.4343/x digits below
+  t(x) ~ -x**2 e**(1/x), so it works at the chart precision
+  ``dps = 40 + 0.4343/x`` digits, and flows at ``dps + 10``;
+* a flow whose displacement d, from ``integral_x^{x+d} e**(1/u) du = t``,
+  a three-term series gives to within the Newton tolerance
+  ``10**-(dps + 10 - 12)`` relative to x takes that series: one ``exp``
+  and no Ei (x below about 0.026 when |t| = 1).  Every other flow
+  inverts t(x) + t by Newton's method on the Ei primitive;
+* ``abel_time_float``, for callers that read only a float, evaluates the
+  primitive at ``_FLOAT_DPS + log10(1/x)`` digits, since
+  ``u e**(1/u) - Ei(1/u)`` cancels about log10(1/x) of them.
+
+Chart precision is capped at ``_DPS_CAP`` digits (x down to about
+8.8e-5); past the cap the chart raises ``PrecisionExceeded``.
 """
 
 import math
@@ -33,6 +51,7 @@ from .errors import (
     InvalidInput,
     NoConvergence,
     NotExpanding,
+    PrecisionExceeded,
     QuadratureFail,
 )
 
@@ -40,6 +59,10 @@ _QUAD_TOL = 1e-13      # quadrature on the smoothstep blend
 _NEWTON_STEPS = 100    # budget of the polynomial chart inversion
 _DESCENT_RTOL = 1e-13  # settling of the Koenigs descent
 _DESCENT_MAX_STEPS = 10_000   # its budget however close mu is to 1
+# most digits of a flat-chart operation: 4383 at x = 1e-4, where one exp
+# takes about 24 ms; x = 1e-5 would need 43 473 digits (1.65 s per exp)
+_DPS_CAP = 5000
+_FLOAT_DPS = 30        # digits of the float-grade flat time past cancellation
 
 
 def smoothstep(u):
@@ -130,6 +153,8 @@ class AbelChart:
         self.x0 = 1.0 if lid >= 1.0 else lid / 2.0
         self._t_sup = self._t_dom = math.inf
         if gen.kind == "flat":
+            with mp.workdps(_FLOAT_DPS + 20):
+                self._f_x0 = self._flat_primitive(mp.mpf(self.x0))
             return
         if self.x0 >= self.domain_sup:
             raise DomainError("x0 outside the positivity domain of rho")
@@ -200,16 +225,38 @@ class AbelChart:
                 f"{self.domain_sup:.6g})")
         return self._primitive(x) - self._p0
 
+    def abel_time_float(self, x):
+        """float(abel_time(x)), computed at the precision a float needs.
+
+        The flat chart evaluates its primitive at ``_FLOAT_DPS`` digits
+        beyond the ``log10(1/x)`` that it cancels, against a stored F(x0);
+        polynomial charts return ``abel_time`` itself.
+        """
+        if self.gen.kind != "flat":
+            return self.abel_time(x)
+        if not x > 0:
+            raise DomainError("Abel time is defined for x > 0")
+        lost = max(0, int(-0.30103 * mp.mag(x)))   # about log10(1/x)
+        with mp.workdps(_FLOAT_DPS + lost):
+            return float(self._flat_primitive(mp.mpf(x)) - self._f_x0)
+
     # -- flat-generator machinery (adaptive precision) ----------------------
 
     @staticmethod
     def _flat_primitive(u):
-        # primitive of e**(1/u): F(u) = u e**(1/u) - Ei(1/u)
-        return u * mp.e ** (1 / u) - mp.ei(1 / u)
+        # primitive of e**(1/u): F(u) = u e**(1/u) - Ei(1/u); exp, not
+        # mp.e**v, whose rounded base errs by v 10**-dps relative
+        return u * mp.exp(1 / u) - mp.ei(1 / u)
 
     @staticmethod
     def _dps_for_x(x):
+        # chart precision: a unit time difference sits 0.4343/x digits
+        # below t(x); PrecisionExceeded past _DPS_CAP (also for x = 0)
         x = float(x)
+        if x < 1.0 and not 0.4343 < (_DPS_CAP - 40) * x:
+            raise PrecisionExceeded(
+                f"the flat chart at x={x:.3g} needs more than {_DPS_CAP} "
+                "digits")
         return 40 + (int(0.4343 / x) if x < 1.0 else 0)
 
     @staticmethod
@@ -229,6 +276,30 @@ class AbelChart:
         with mp.workdps(dps):
             return self._flat_primitive(mp.mpf(x)) - self._flat_primitive(
                 mp.mpf(self.x0))
+
+    def _flat_displacement_flow(self, t, x):
+        """x + d with integral_x^{x+d} e**(1/u) du = t, or None.
+
+        With v = 1/x and tau = t e**-v, the integral is
+        e**v (d - d**2 v**2/2 + d**3 (v**3 + v**4/2)/3 - ...); its reversion
+        d = tau + tau**2 v**2/2 + tau**3 (v**4 - v**3)/3 omits about
+        tau**4 v**6 / 4, below eps**3 |tau| v relative to x, where
+        eps = |tau| v**2.  None when that bound exceeds the tolerance of
+        the Ei Newton inversion at the same precision.
+        """
+        dps = self._dps_for_x(x) + 10
+        v = 1.0 / float(x)
+        # the bound in logs, log|tau| = log|t| - v; "not <=" also refuses
+        # an infinite or nan t
+        if t != 0 and not (4.0 * (math.log(abs(t)) - v) + 7.0 * math.log(v)
+                           <= (12 - dps) * math.log(10.0)):
+            return None
+        with mp.workdps(dps):
+            x = mp.mpf(x)
+            v = 1 / x
+            tau = mp.mpf(t) * mp.exp(-v)
+            return x + tau * (1 + tau * v**2 / 2
+                              + tau**2 * (v**4 - v**3) / 3)
 
     def _invert_flat(self, s):
         # initial guess for F(y) = F(x0) + s
@@ -309,6 +380,9 @@ class AbelChart:
         if not x > 0:
             raise DomainError("flows are computed from x > 0")
         if self.gen.kind == "flat":
+            y = self._flat_displacement_flow(t, x)
+            if y is not None:
+                return y
             # the sum must be formed at chart precision: t(x) can dwarf t
             with mp.workdps(self._dps_for_x(x) + 15):
                 s = self._abel_flat(x) + mp.mpf(t)

@@ -222,8 +222,7 @@ def eval_solution(sol, x):
         return 0.0 + 0.0j
     if sol.is_zero:
         return 0.0 + 0.0j
-    t = sol.chart.abel_time(x)
-    tf = float(t)
+    tf = sol.chart.abel_time_float(x)
     if math.isinf(tf):
         if tf < 0:
             return 0.0 + 0.0j
@@ -482,7 +481,7 @@ def verify_residual(sol, phi, grid, equation="I", prev=None, rel_tol=1e-8):
         raise InvalidInput("chain residual needs the previous chain element")
     table = residual_rows(sol, sol.branch.lam, phi, grid, prev)
     for row in table:
-        row["abel_t"] = float(sol.chart.abel_time(row["x"]))
+        row["abel_t"] = sol.chart.abel_time_float(row["x"])
     report = VerificationReport(
         kind=f"residual-{equation}",
         tolerances={"rel_tol": rel_tol})
@@ -493,10 +492,11 @@ def verify_residual(sol, phi, grid, equation="I", prev=None, rel_tol=1e-8):
     return report
 
 
-def _fd_derivative(fn, x, k, h):
+def _fd_derivative(at, k, h):
+    # central difference of order k; at(m) is the value at x + m h
     num = 0.0
     for i in range(k + 1):
-        num += (-1) ** i * comb(k, i) * fn(x + (k / 2.0 - i) * h)
+        num += (-1) ** i * comb(k, i) * at(k / 2.0 - i)
     return num / h**k
 
 
@@ -531,13 +531,22 @@ def verify_flatness(sol, k_max, x_grid, final_tol=1e-6):
     for x in xs:
         h_want = min(x / (k_max + 2.0), 0.05 * scale(x))
         h = max(h_want, 64.0 * eps * x)
-        stencil_vals = [fn(x + (k_max / 2.0 - i) * h) for i in range(k_max + 1)]
+        # the stencils of all orders share their offsets, which are
+        # half-integers m: each abscissa x + m h is evaluated once
+        vals = {}
+
+        def at(m):
+            if m not in vals:
+                vals[m] = fn(x + m * h)
+            return vals[m]
+
+        stencil_vals = [at(k_max / 2.0 - i) for i in range(k_max + 1)]
         if h > h_want * 1.0001 and any(v != 0.0 for v in stencil_vals):
             raise StepTooSmall(
                 f"step {h_want:.3e} at x={x} is below float spacing")
         try:
             for k in range(1, k_max + 1):
-                columns[k].append(abs(_fd_derivative(fn, x, k, h)))
+                columns[k].append(abs(_fd_derivative(at, k, h)))
         except (OverflowError, ZeroDivisionError):
             raise StepTooSmall(f"h**{k} at step {h:.3e} and x={x} leaves "
                                "the float range")

@@ -253,6 +253,36 @@ def test_poly_chart_float_overflow_exits_3(tmp_path, capsys):
     assert rep["summary"]["error_type"] == "DomainError"
 
 
+FLAT_GERM = {"kind": "flow", "rho": {"kind": "flat", "form": "exp(-1/x)"}}
+
+
+def test_flat_solve_down_to_grid_min_1e4(tmp_path):
+    # x = 1e-4 needs 4383 digits: one exp per flow, no Ei at that precision
+    cfg = write_config(tmp_path, "s.json", {
+        "germ": FLAT_GERM, "lambda": math.e,
+        "coeffs": {"0": 1.0, "1": 0.5, "-1": 0.5},
+        "grid": {"min": 1e-4, "max": 0.9, "count": 12}})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    rows = list(csv.DictReader(open(out / "solution.csv")))
+    assert float(rows[0]["x"]) == 1e-4
+    assert float(rows[0]["abel_t"]) == -math.inf
+
+
+@pytest.mark.parametrize("grid_min", [1e-7, 5e-324])
+def test_flat_verify_past_the_precision_cap_exits_3(tmp_path, capsys,
+                                                    grid_min):
+    cfg = write_config(tmp_path, "v.json", {
+        "germ": FLAT_GERM, "lambda": math.e,
+        "grid": {"min": grid_min, "max": 0.9, "count": 8}})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    rep = load_report(out)
+    assert rep["status"] == "numerical-failure"
+    assert rep["summary"]["error_type"] == "PrecisionExceeded"
+
+
 def test_determinism_modulo_timestamp(tmp_path):
     cfg = write_config(tmp_path, "v.json", {
         "germ": FLOW_GERM, "lambda": {"re": 2.0, "im": 1.0},

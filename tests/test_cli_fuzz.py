@@ -1,10 +1,11 @@
 """Fuzz of CLI configs: every run ends with exit 0, 2 or 3, never a traceback.
 
 Each key of a config draws either a valid value or an invalid one (wrong
-type, out of range, non-finite, malformed nesting).  Flat germs always get
-a grid with min >= 1e-2: a flat flow at x = 1e-3 costs about a second.
-Valid grids have at most 32 points and ``aut`` runs at most 2 rounds;
-sizes just above their caps, and huge ones, must be rejected as input.
+type, out of range, non-finite, malformed nesting).  Flat germs draw their
+grid from their own list, down to min 1e-4 (4383 digits) and, past the
+flat chart's precision cap, min 1e-7, which ends in exit 3.  Valid grids have at most 32 points
+and ``aut`` runs at most 2 rounds; sizes just above their caps, and huge
+ones, must be rejected as input.
 """
 
 import contextlib
@@ -85,6 +86,10 @@ GRIDS = key(
      {"min": 1e-3, "max": math.inf, "count": 4}, {"max": [1]},
      {"max": 0.9, "count": GRID_COUNT_CAP + 1}, {"max": 0.9, "count": HUGE}])
 
+# min 1e-7 lies past the precision cap; junk grids come from GRIDS
+FLAT_GRIDS = st.sampled_from([FLAT_GRID, {"min": 1e-4, "max": 0.9, "count": 8},
+                              {"min": 1e-7, "max": 0.9, "count": 8}])
+
 X_GRIDS = key(
     [[0.2, 0.1, 0.05, 0.025, 0.0125],
      [0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625]],
@@ -126,10 +131,10 @@ REQUIRED = {
 }
 
 
-def _bounded(config):
+def _bounded(config, flat_grid):
     # the cost bounds of the module docstring
     if config.get("germ") == FLAT:
-        config["grid"] = FLAT_GRID
+        config["grid"] = flat_grid
     config.setdefault("count", 2)   # aut defaults to 25 rounds
     return config
 
@@ -137,7 +142,8 @@ def _bounded(config):
 def config_for(command):
     required = {k: KEYS[k] for k in REQUIRED[command]}
     optional = {k: v for k, v in KEYS.items() if k not in required}
-    return st.fixed_dictionaries(required, optional=optional).map(_bounded)
+    return st.tuples(st.fixed_dictionaries(required, optional=optional),
+                     FLAT_GRIDS).map(lambda drawn: _bounded(*drawn))
 
 
 @settings(derandomize=True, deadline=None, max_examples=500, database=None,

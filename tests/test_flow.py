@@ -81,6 +81,85 @@ def test_abel_equation_unit_shift_across_generators():
             assert float(res) <= 1e-9, (gen, x)
 
 
+# -- flat chart near 0: Ei-primitive and quadrature oracles ---------------------
+
+FLAT_TIMES = (1.0, -1.0, 0.5, -0.5, 3.0, -3.0, 1e-6)
+
+
+def _ei_primitive(u):
+    # F(u) = u e**(1/u) - Ei(1/u), at the caller's precision
+    u = mp.mpf(u)
+    return u * mp.exp(1 / u) - mp.ei(1 / u)
+
+
+def test_flat_flow_against_ei_primitive():
+    # t(y) - t(x) = 1 sits 0.4343/x digits below F(x): the oracle works 30
+    # digits past that and never calls the chart
+    ch = AbelChart(VectorFieldGen.flat())
+    for x in np.geomspace(1e-3, 3e-2, 24):
+        ys = {t: ch.flow_map(t, float(x)) for t in FLAT_TIMES}
+        lo = min(float(x), *(float(y) for y in ys.values()))
+        with mp.workdps(30 + int(0.4343 / lo)):
+            fx = _ei_primitive(float(x))
+            for t, y in ys.items():
+                res = abs(_ei_primitive(y) - fx - t)
+                assert res <= 1e-20, (x, t, mp.nstr(res, 3))
+
+
+def test_flat_flow_below_1e3_against_quadrature():
+    # Ei at the 4373 digits of x = 1e-4 takes tens of seconds, so the
+    # oracle here integrates e**(1/u) over [x, y = x + d] itself, as
+    # e**v d integral_0^1 exp(1/(x + d w) - v) dw with v = 1/x
+    ch = AbelChart(VectorFieldGen.flat())
+    for x in np.geomspace(1e-4, 1e-3, 6):
+        x = float(x)
+        for t in FLAT_TIMES:
+            y = ch.flow_map(t, x)
+            with mp.workdps(ch._dps_for_x(x) + 20):
+                d = mp.mpf(y) - x
+            with mp.workdps(40):
+                v = 1 / mp.mpf(x)
+                area = mp.exp(v) * d * mp.quad(
+                    lambda w: mp.exp(-d * w * v / (x + d * w)), [0, 1])
+                res = abs(area - t)
+            assert res <= 1e-20, (x, t, mp.nstr(res, 3))
+
+
+def test_flat_flow_switch_agrees_with_ei_newton():
+    # on both sides of the switch the flow matches the Ei Newton inversion
+    # of t(x) + t to the Newton tolerance 10**-(dps - 12)
+    ch = AbelChart(VectorFieldGen.flat())
+    paths = set()
+    for x in np.geomspace(0.015, 0.04, 11):
+        x = float(x)
+        for t in (1.0, -1.0, 3.0, -3.0):
+            paths.add(ch._flat_displacement_flow(t, x) is None)
+            y = ch.flow_map(t, x)
+            dps = ch._dps_for_x(x) + 10
+            with mp.workdps(dps + 5):
+                s = ch._abel_flat(x) + t
+            want = ch._invert_flat(s)
+            with mp.workdps(dps + 5):
+                assert abs(y - want) <= mp.mpf(10) ** (12 - dps) * want
+    assert paths == {True, False}
+
+
+def test_flat_float_time_is_float_of_abel_time():
+    ch = AbelChart(VectorFieldGen.flat())
+    for x in np.geomspace(1e-3, 10.0, 403):
+        got = ch.abel_time_float(float(x))
+        assert isinstance(got, float)
+        assert got == float(ch.abel_time(float(x))), x
+
+
+def test_flat_float_time_near_zero_is_minus_inf():
+    # t(x) ~ -x**2 e**(1/x) passes -1.8e308 below x = 1.38e-3; the
+    # primitive cancels log10(1/x) digits, down to the least subnormal
+    ch = AbelChart(VectorFieldGen.flat())
+    for x in [5e-324, 1e-320, *np.geomspace(1e-300, 1e-3, 40)]:
+        assert ch.abel_time_float(float(x)) == -math.inf, x
+
+
 # -- independent oracle: 30-digit quadrature of 1/rho ---------------------------
 
 def _mp_rho(gen):

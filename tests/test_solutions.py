@@ -384,6 +384,29 @@ def test_flatness_flat_chart():
     assert rep.passed
 
 
+def test_flatness_evaluates_each_stencil_abscissa_once():
+    # the stencils of orders 1..5 share 11 offsets (6 half-integers and 5
+    # integers); the table must equal the formula evaluated per order
+    calls = []
+
+    def beta(x):
+        calls.append(x)
+        return cmath.exp(-1.0 / x + 3j / x)
+
+    grid = [0.2, 0.1, 0.05, 0.025, 0.0125]
+    rep = S.verify_flatness(beta, 5, grid)
+    assert len(calls) <= 11 * len(grid)
+    eps = np.finfo(float).eps
+    for row, x in zip(rep.tables["derivatives"], grid):
+        h = max(min(x / 7.0, 0.05 * x * x / 4.0), 64.0 * eps * x)
+        for k in range(1, 6):
+            num = 0.0
+            for i in range(k + 1):
+                num += ((-1) ** i * math.comb(k, i)
+                        * abs(beta(x + (k / 2.0 - i) * h)))
+            assert row[f"d{k}"] == abs(num / h**k)
+
+
 def test_flatness_negative_control_quadratic():
     rep = S.verify_flatness(lambda x: x * x, 2,
                             [0.2, 0.1, 0.05, 0.025, 0.0125])
