@@ -8,7 +8,7 @@ maps, finite-time blow-up, and fractional iterates.
 import numpy as np
 
 from schroeder import AbelChart, FlowGenerated, VectorFieldGen
-from schroeder import evaluate, inverse, iterate, fractional_iterate
+from schroeder import iterate, fractional_iterate
 from schroeder.errors import BlowUp
 
 # The quadratic generator rho(x) = x**2.  Its time-1 map has the closed
@@ -17,9 +17,9 @@ gen = VectorFieldGen.poly(2, 0.0)
 chart = AbelChart(gen)
 phi = FlowGenerated(gen)
 
-print("time-1 map of x**2 at 0.1:", evaluate(phi, 0.1), "(exact: 1/9)")
+print("time-1 map of x**2 at 0.1:", phi(0.1), "(exact: 1/9)")
 print("two steps from 0.1:       ", iterate(phi, 2, 0.1), "(exact: 1/8)")
-print("inverse of 0.25:          ", inverse(phi, 0.25), "(exact: 0.2)")
+print("inverse of 0.25:          ", phi.inverse_value(0.25), "(exact: 0.2)")
 
 # The Abel coordinate is the integral of 1/rho from the base point x0 = 1.
 # For rho = x**2 that is 1 - 1/x, so t(0.5) = -1 and t(2) = 0.5.

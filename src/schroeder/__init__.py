@@ -26,24 +26,17 @@ from .diffeo import (
     Case3,
     FlowGenerated,
     HalfLineDiffeo,
-    IterateMap,
     JetData,
     Linear,
     PolynomialMap,
-    TakensPoly,
     classify_case,
-    composition_derivatives,
-    evaluate,
     from_germ,
-    inverse,
     iterate,
     takens_normalize,
 )
 from .flow import (
     AbelChart,
     VectorFieldGen,
-    abel_time,
-    flow_map,
     fractional_iterate,
     koenigs,
 )
@@ -56,7 +49,6 @@ from .solutions import (
     add_solutions,
     apply_operator,
     base_solution,
-    chain_solution,
     classify_resonance,
     eval_solution,
     fourier_basis,

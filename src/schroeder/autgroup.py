@@ -45,7 +45,6 @@ from .flow import AbelChart, _koenigs_descent, fractional_iterate, koenigs
 from .report import VerificationReport
 from .solutions import (
     LambdaBranch,
-    SchroederSolution,
     residual_rows,
     sup_residual,
     zero_solution,
@@ -340,34 +339,3 @@ def fiber_product(f: AutElement, g: AutElement, tol=1e-10) -> MatchedPair:
         raise BoundaryMismatch(cf, cg, d)
     return MatchedPair(f, g)
 
-
-# --------------------------------------------------------------------------
-# element files
-
-def element_to_dict(f: AutElement):
-    from .solutions import solution_to_coeff_dict
-
-    if isinstance(f.b, SchroederSolution):
-        b_desc = solution_to_coeff_dict(f.b)
-    else:
-        b_desc = {"case1_c": {"re": f.b.c.real, "im": f.b.c.imag},
-                  "n": f.b.n}
-    return {"a": {"re": f.a.real, "im": f.a.imag}, "t": f.t, "b": b_desc}
-
-
-def element_from_dict(desc, data: ReebData) -> AutElement:
-    from .solutions import solution_from_coeff_dict
-
-    a = complex(desc["a"]["re"], desc["a"].get("im", 0.0))
-    t = float(desc.get("t", 0.0))
-    b_desc = desc.get("b")
-    if b_desc is None:
-        b = data.zero_translation()
-    elif "case1_c" in b_desc:
-        mu = float(data.phi.jets(2).coefficients[1])
-        b = Case1Solution(
-            complex(b_desc["case1_c"]["re"], b_desc["case1_c"].get("im", 0.0)),
-            int(b_desc.get("n", 1)), mu, data.phi)
-    else:
-        b = solution_from_coeff_dict(b_desc, data.chart)
-    return normalize(AutElement(data=data, a=a, b=b, t=t))

@@ -1,12 +1,15 @@
 """Expanding diffeomorphisms of the half line [0, oo) and their jets.
 
 Every map here fixes 0, is strictly increasing, and satisfies
-``phi(x) > x`` for ``x > 0`` on its certified domain.  Maps are immutable
-value objects; evaluation, inversion and iteration are pure functions.
+``phi(x) > x`` for ``x > 0`` on its certified domain.  There are three
+map models, and each owns its inverse: ``Linear`` divides, ``PolynomialMap``
+runs Newton's method on its coefficients, and ``FlowGenerated`` flows
+backward in its Abel chart.  Maps are immutable value objects;
+evaluation, inversion and iteration are pure functions.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import series
@@ -15,15 +18,16 @@ from .errors import (
     InsufficientJets,
     InvalidInput,
     NoBracket,
+    NoConvergence,
     NotExpanding,
     NotExpandingInput,
     read_number,
     require_object,
 )
-from .flow import AbelChart, VectorFieldGen, smoothstep
+from .flow import AbelChart, VectorFieldGen
 
 _EXPANSION_SLACK = 1e-12
-_INVERSE_RTOL = 1e-13   # mixed tolerance of the generic monotone inverse
+_NEWTON_STEPS = 100   # budget of the polynomial inverse
 
 
 # --------------------------------------------------------------------------
@@ -109,7 +113,7 @@ def classify_case(jets: JetData):
 # the map variants
 
 class HalfLineDiffeo:
-    """Common behaviour of the map variants (evaluation guards, iteration)."""
+    """Common behaviour of the map models: the evaluation guards."""
 
     domain_hint = math.inf
 
@@ -127,41 +131,6 @@ class HalfLineDiffeo:
         if not y > x * (1 - _EXPANSION_SLACK):
             raise NotExpanding(f"phi({x}) = {y} <= x")
         return y
-
-    def inverse_value(self, y):
-        """Generic monotone inverse: bisection with secant acceleration.
-
-        phi(x) > x gives the bracket [0, y] for free; the root is refined
-        to mixed absolute+relative tolerance 1e-13.
-        """
-        if y == 0.0:
-            return 0.0
-        if y < 0.0:
-            raise NoBracket("values of the map are nonnegative")
-        if math.isfinite(self.domain_hint) and y > self(self.domain_hint):
-            raise NoBracket(f"y={y} beyond the certified image")
-        lo, f_lo = 0.0, -y
-        hi = min(y, self.domain_hint)
-        f_hi = self(hi) - y
-        if f_hi < 0:
-            raise NoBracket("bracket failed; map not expanding here?")
-        # relative stopping rule: Koenigs limits multiply tiny roots by
-        # mu**k, so absolute-only tolerance would be amplified badly
-        for _ in range(300):
-            if f_hi != f_lo:
-                x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-                if not (lo < x < hi):
-                    x = 0.5 * (lo + hi)
-            else:
-                x = 0.5 * (lo + hi)
-            fx = self(x) - y
-            if fx > 0:
-                hi, f_hi = x, fx
-            else:
-                lo, f_lo = x, fx
-            if hi - lo <= _INVERSE_RTOL * hi + 1e-300:
-                break
-        return 0.5 * (lo + hi)
 
     def jets(self, order):  # pragma: no cover - overridden
         raise NotImplementedError
@@ -183,70 +152,12 @@ class Linear(HalfLineDiffeo):
         return self.mu * x
 
     def inverse_value(self, y):
-        if y < 0:
-            raise NoBracket("values of the map are nonnegative")
+        if not y >= 0:
+            raise NoBracket(f"y={y} is not a value of the map")
         return y / self.mu
 
     def jets(self, order):
         return JetData((0, self.mu) + (0,) * (order - 1))
-
-
-@dataclass(frozen=True)
-class TakensPoly(HalfLineDiffeo):
-    """Polynomial normal form x + x**n + alpha x**(2n-1) on [0, x1].
-
-    On [x1, 2 x1] the displacement is blended (C-infinity) into the
-    constant x**n + alpha x**(2n-1) evaluated at x1, so the map is a
-    translation far out and globally expanding.
-    """
-
-    n: int
-    alpha: float
-    x1: float = 0.25
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise InvalidInput("normal form needs n >= 2")
-        if not self.x1 > 0:
-            raise InvalidInput("x1 must be positive")
-        x2 = 2.0 * self.x1
-        # the displacement must stay positive through the glue region
-        for x in [self.x1 * k / 16 for k in range(1, 17)] + [
-            self.x1 + (x2 - self.x1) * k / 32 for k in range(33)
-        ]:
-            if self._shift(x) <= 0:
-                raise NotExpandingInput(f"displacement nonpositive at x={x}")
-        prev = 0.0
-        for k in range(1, 129):
-            x = x2 * 1.05 * k / 128
-            y = self._eval_raw(x)
-            if y <= prev:
-                raise NotExpandingInput(f"map not increasing near x={x}")
-            prev = y
-
-    domain_hint = math.inf
-
-    def _poly_shift(self, x):
-        return x**self.n + self.alpha * x ** (2 * self.n - 1)
-
-    def _shift(self, x):
-        if x <= self.x1:
-            return self._poly_shift(x)
-        x2 = 2.0 * self.x1
-        w = smoothstep((x - self.x1) / (x2 - self.x1))
-        return (1.0 - w) * self._poly_shift(x) + w * self._poly_shift(self.x1)
-
-    def _eval_raw(self, x):
-        return x + self._shift(x)
-
-    def jets(self, order):
-        c = [0.0] * (order + 1)
-        c[1] = 1.0
-        if self.n <= order:
-            c[self.n] += 1.0
-        if 2 * self.n - 1 <= order:
-            c[2 * self.n - 1] += self.alpha
-        return JetData(tuple(c))
 
 
 @dataclass(frozen=True)
@@ -275,6 +186,32 @@ class PolynomialMap(HalfLineDiffeo):
             total = total * x + v
         return total
 
+    def inverse_value(self, y):
+        """The x >= 0 with phi(x) = y, by Newton's method.
+
+        phi lies above c1 x and c_d x**d (d the top degree), so the start
+        min(y / c1, (y / c_d)**(1/d)) lies above the root; phi is convex,
+        so Newton falls monotonically from there.  The first iterate that
+        does not fall ends the descent: a relative step test can cycle
+        between two floats an ulp apart.
+        """
+        if not y >= 0:
+            raise NoBracket(f"y={y} is not a value of the map")
+        c = self.coefficients
+        d = max(k for k, v in enumerate(c) if v)
+        x = min(y / c[1], (y / c[d]) ** (1.0 / d))
+        for _ in range(_NEWTON_STEPS):
+            p = dp = 0.0
+            for v in reversed(c):   # Horner for p and p' together
+                dp = dp * x + p
+                p = p * x + v
+            x_new = x - (p - y) / dp
+            if not x_new < x:
+                return x
+            x = x_new
+        raise NoConvergence(f"Newton inverse of y={y} did not settle in "
+                            f"{_NEWTON_STEPS} steps")
+
     def jets(self, order):
         c = self.coefficients[: order + 1]
         return JetData(tuple(c) + (0,) * (order + 1 - len(c)))
@@ -300,9 +237,12 @@ class FlowGenerated(HalfLineDiffeo):
     def inverse_value(self, y):
         if y == 0.0:
             return 0.0
-        if y < 0:
-            raise NoBracket("values of the map are nonnegative")
-        return self.chart.flow_map(-self.time, y)
+        if not y >= 0:
+            raise NoBracket(f"y={y} is not a value of the map")
+        x = self.chart.flow_map(-self.time, y)
+        if x > self.domain_hint:
+            raise NoBracket(f"y={y} beyond the certified image")
+        return x
 
     def jets(self, order):
         if self.gen.kind == "flat":
@@ -318,64 +258,8 @@ class FlowGenerated(HalfLineDiffeo):
         return JetData(tuple(series.lie_exponential_jets(rho, order)))
 
 
-class IterateMap(HalfLineDiffeo):
-    """k-fold composition of a base map (k may be negative)."""
-
-    def __init__(self, base: HalfLineDiffeo, power: int):
-        if power == 0:
-            raise InvalidInput("use the identity rather than power 0")
-        self.base = base
-        self.power = int(power)
-        self.domain_hint = self._forward_domain()
-
-    def _forward_domain(self):
-        if self.power < 0 or not math.isfinite(self.base.domain_hint):
-            return self.base.domain_hint
-        # largest x whose forward orbit of length `power` stays certified
-        return iterate(self.base, 1 - self.power, self.base.domain_hint)
-
-    def __repr__(self):
-        return f"IterateMap({self.base!r}, {self.power})"
-
-    def _eval_raw(self, x):
-        return iterate(self.base, self.power, x)
-
-    def __call__(self, x):
-        # an inverse iterate is contracting, so skip the expansion guard
-        if self.power > 0:
-            return super().__call__(x)
-        if x == 0.0:
-            return 0.0
-        if x < 0.0:
-            raise DomainExceeded("half-line maps are defined for x >= 0")
-        return self._eval_raw(x)
-
-    def inverse_value(self, y):
-        return iterate(self.base, -self.power, y)
-
-    def jets(self, order):
-        base = list(self.base.jets(order).coefficients)
-        flat = self.base.jets(order).flat
-        if self.power < 0:
-            base = series.series_inverse(base, order)
-        out = series.identity_series(order)
-        for _ in range(abs(self.power)):
-            out = series.series_compose(base, out, order)
-        return JetData(tuple(out), flat=flat, expanding=self.power > 0)
-
-
 # --------------------------------------------------------------------------
 # module-level operations (the public verbs)
-
-def evaluate(phi: HalfLineDiffeo, x: float) -> float:
-    """phi(x); exact 0 at x = 0, guarded against domain escape."""
-    return phi(x)
-
-
-def inverse(phi: HalfLineDiffeo, y: float) -> float:
-    """The unique x >= 0 with phi(x) = y, to mixed tolerance 1e-13."""
-    return phi.inverse_value(y)
-
 
 def iterate(phi: HalfLineDiffeo, k: int, x: float) -> float:
     """k-fold composition (k < 0 iterates the inverse); k = 0 is identity."""
@@ -389,15 +273,6 @@ def iterate(phi: HalfLineDiffeo, k: int, x: float) -> float:
         for _ in range(-k):
             y = phi.inverse_value(y)
     return y
-
-
-def composition_derivatives(beta_jets, phi_jets, n_max: int):
-    """Derivatives of beta(phi(x)) from derivative values of both factors.
-
-    ``beta_jets[k-1]`` = k-th derivative of beta at phi(x), ``phi_jets[k-1]``
-    = k-th derivative of phi at x, both for k = 1..n_max at least.
-    """
-    return series.bell_composition_derivatives(beta_jets, phi_jets, n_max)
 
 
 @dataclass(frozen=True)
@@ -481,32 +356,6 @@ def takens_normalize(jets: JetData) -> TakensNormalForm:
     )
 
 
-def check_jet_consistency(phi: HalfLineDiffeo, jets: JetData, k_max=3,
-                          h=1e-4, tol_scale=1e-6):
-    """Finite-difference audit of declared jets at the origin.
-
-    One-sided differences at step h with one Richardson level; the k-th
-    derivative must match coefficients[k] * k! within tol_scale * k!.
-    Returns the list of (k, estimate, target, ok).
-    """
-    from math import comb, factorial
-
-    def forward_diff(step, k):
-        return sum(
-            (-1) ** (k - i) * comb(k, i) * phi(i * step) for i in range(k + 1)
-        ) / step**k
-
-    rows = []
-    for k in range(1, k_max + 1):
-        d_h = forward_diff(h, k)
-        d_h2 = forward_diff(h / 2, k)
-        est = 2.0 * d_h2 - d_h  # kills the O(h) one-sided error term
-        target = float(jets.coefficients[k]) * factorial(k) if k <= jets.order else 0.0
-        ok = abs(est - target) <= tol_scale * factorial(k)
-        rows.append((k, est, target, ok))
-    return rows
-
-
 # --------------------------------------------------------------------------
 # germ descriptors (JSON dicts consumed by the CLI)
 
@@ -515,10 +364,6 @@ def from_germ(desc: dict) -> HalfLineDiffeo:
     kind = require_object(desc, "a germ descriptor").get("kind")
     if kind == "linear":
         return Linear(mu=read_number(desc, "mu"))
-    if kind == "takens":
-        return TakensPoly(n=read_number(desc, "n", int),
-                          alpha=read_number(desc, "alpha"),
-                          x1=read_number(desc, "x1", default=0.25))
     if kind == "flow":
         rho = require_object(desc.get("rho"), "'rho'")
         if rho.get("kind") == "poly":

@@ -424,16 +424,6 @@ class AbelChart:
         return self.domain_sup
 
 
-def flow_map(chart: AbelChart, t, x):
-    """Module-level alias for chart.flow_map."""
-    return chart.flow_map(t, x)
-
-
-def abel_time(chart: AbelChart, x):
-    """Module-level alias for chart.abel_time."""
-    return chart.abel_time(x)
-
-
 def fractional_iterate(phi, t, x):
     """phi**t for flow-generated phi: the time t*phi.time flow.
 
@@ -456,8 +446,9 @@ def _koenigs_descent(phi, x):
     """(mu, k, y) with y = phi**(-k)(x), at the first k where mu**k y settles.
 
     Near 0, phi is x -> mu x + O(x**2), so the limit is geometric.  The stop
-    is relative, so small x converge like large ones; 1e-13 stays above
-    the 5e-14 relative error of one ``inverse_value``.
+    is relative, so small x converge like large ones; 1e-13 stays far
+    above the relative error of one ``inverse_value``, a few ulps for the
+    Newton inverse of a ``PolynomialMap``.
     """
     mu = float(phi.jets(2).coefficients[1])
     if not mu > 1:

@@ -300,23 +300,6 @@ def _check_phi_matches(sol, phi):
         raise InvalidInput("the operator is the pullback of the time-1 map")
 
 
-def chain_solution(b1):
-    """A right inverse of the operator on eigenfunctions.
-
-    For degree-0 b1 returns b2 = (1/lambda) * b1 * t, which satisfies
-    (phi* - lambda) b2 = b1 exactly at the coefficient level (t is the
-    globally smooth branch of log(beta*) / log(lambda)).
-    """
-    if b1.is_zero:
-        return b1
-    if b1.degree != 0:
-        raise InvalidInput("chain step starts from a degree-0 solution")
-    lam = b1.branch.lam
-    layer1 = {l: v / lam for l, v in b1.layers[0].items()}
-    return SchroederSolution(branch=b1.branch, chart=b1.chart,
-                             layers=({}, layer1))
-
-
 def jordan_solve(branch, chart, M, seeds=None):
     """Solutions (beta_1 .. beta_M) of the single-Jordan-block system.
 

@@ -202,7 +202,7 @@ def test_tangency_without_generator_rejected_at_construction():
     # centralizer; the component data refuses it outright
     with pytest.raises(CentralizerNotFlow):
         A.ReebData(branch=S.LambdaBranch.principal(2.0),
-                   phi=D.TakensPoly(2, 0.0))
+                   phi=D.PolynomialMap((0, 1, 1)))
 
 
 def test_case1_polynomial_map_flow():
@@ -330,18 +330,3 @@ def test_case1_translation_satisfies_equation(data_linear):
     rep = A.verify_lemma_conditions(f, np.geomspace(0.01, 1.0, 12))
     assert rep.passed
 
-
-# -- element files --------------------------------------------------------------------------------
-
-def test_element_dict_roundtrip(data_x2):
-    rng = np.random.default_rng(31)
-    f = random_element(data_x2, rng)
-    back = A.element_from_dict(A.element_to_dict(f), data_x2)
-    assert deviation(f, back) <= 1e-14
-
-
-def test_element_dict_roundtrip_case1(data_linear):
-    b = A.Case1Solution(0.3 + 0.1j, 2, 2.0, data_linear.phi)
-    f = A.AutElement(data=data_linear, a=2.0 + 0j, b=b, t=0.25)
-    back = A.element_from_dict(A.element_to_dict(f), data_linear)
-    assert deviation(f, back, xs=[0.1, 0.4]) <= 1e-14

@@ -223,6 +223,9 @@ def test_exit_code_config_errors(tmp_path, capsys):
         ("fiber", {"lambda": 2.0, "germ": {"kind": "linear", "mu": 0.5}}),
         ("fiber", {"lambda": 2.0,
                    "germ": {"kind": "takens", "n": 2, "alpha": -50}}),
+        # the polynomial normal form is no map model
+        ("fiber", {"lambda": 2.0,
+                   "germ": {"kind": "takens", "n": 2, "alpha": 0}}),
     ]
     for i, (command, payload) in enumerate(rows):
         capsys.readouterr()

@@ -45,9 +45,9 @@ GERMS = key(
      {"kind": "flow", "rho": {"kind": "poly", "n": 3, "a": -0.3}},
      {"kind": "flow", "rho": {"kind": "poly", "n": 2, "a": 0.5},
       "time": 0.5},
-     {"kind": "linear", "mu": 2.0},
-     {"kind": "takens", "n": 2, "alpha": 0.0, "x1": 0.25}],
+     {"kind": "linear", "mu": 2.0}],
     [{"kind": "linear", "mu": 0.5}, {"kind": "linear"},
+     {"kind": "takens", "n": 2, "alpha": 0.0, "x1": 0.25},
      {"kind": "linear", "mu": "x"}, {"kind": "takens", "n": 1, "alpha": 0},
      {"kind": "takens", "n": 2, "alpha": 0, "x1": -1},
      {"kind": "flow"}, {"kind": "flow", "rho": "x"},

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -10,10 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schroeder import diffeo as D
+from schroeder import series
 from schroeder.errors import (
     DomainExceeded,
     InsufficientJets,
+    InvalidInput,
     NoBracket,
+    NoConvergence,
     NotExpanding,
 )
 from schroeder.flow import VectorFieldGen
@@ -26,12 +30,7 @@ def flow_x2(time=1.0):
 # -- evaluation -------------------------------------------------------------
 
 def test_eval_linear():
-    assert D.evaluate(D.Linear(2.0), 1.0) == 2.0
-
-
-def test_eval_takens_poly_exact_on_core():
-    phi = D.TakensPoly(2, 0.0, x1=0.25)
-    assert phi(0.1) == pytest.approx(0.11, abs=1e-15)
+    assert D.Linear(2.0)(1.0) == 2.0
 
 
 def test_eval_flow_closed_form():
@@ -41,7 +40,7 @@ def test_eval_flow_closed_form():
 
 
 def test_eval_zero_fixed():
-    for phi in (D.Linear(3.0), D.TakensPoly(2, 0.5), flow_x2(),
+    for phi in (D.Linear(3.0), D.PolynomialMap((0, 1, 1)), flow_x2(),
                 D.PolynomialMap((0, 2.0, 1.0))):
         assert phi(0.0) == 0.0
 
@@ -57,27 +56,63 @@ def test_eval_domain_exceeded():
 # -- inverse ----------------------------------------------------------------
 
 def test_inverse_linear():
-    assert D.inverse(D.Linear(2.0), 1.0) == 0.5
+    assert D.Linear(2.0).inverse_value(1.0) == 0.5
 
 
 def test_inverse_flow_closed_form():
     # inverse of x/(1-x) is y/(1+y)
     phi = flow_x2()
-    assert D.inverse(phi, 0.25) == pytest.approx(0.2, rel=1e-12)
+    assert phi.inverse_value(0.25) == pytest.approx(0.2, rel=1e-12)
 
 
 def test_inverse_roundtrip_various():
-    maps = [D.Linear(1.7), D.TakensPoly(2, -0.5, x1=0.2), flow_x2(),
+    maps = [D.Linear(1.7), D.PolynomialMap((0, 1, 1)), flow_x2(),
             D.PolynomialMap((0, 2.0, 1.0))]
     for phi in maps:
         for y in (1e-4, 0.05, 0.3, 0.8):
-            x = D.inverse(phi, y)
+            x = phi.inverse_value(y)
             assert abs(phi(x) - y) <= 1e-12 * max(1.0, abs(y))
 
 
 def test_inverse_no_bracket():
+    for phi in (D.Linear(2.0), D.PolynomialMap((0, 2.0, 1.0)), flow_x2()):
+        for y in (-1.0, math.nan):
+            with pytest.raises(NoBracket):
+                phi.inverse_value(y)
+
+
+@pytest.mark.parametrize("c", [(0, 1.05, 1), (0, 2, 1), (0, 1, 1), (0, 4, 1),
+                               (0, 1.5, 0, 3)])
+def test_polynomial_inverse_against_mpmath_root(c):
+    # the positive real root of phi(x) = y at 40 digits
+    phi = D.PolynomialMap(c)
+    with mpmath.workdps(40):
+        for y in np.geomspace(1e-6, 10.0, 61):
+            roots = mpmath.polyroots(list(reversed(c[1:])) + [-y],
+                                     maxsteps=200, extraprec=80)
+            want = max(mpmath.re(r) for r in roots
+                       if abs(mpmath.im(r)) < 1e-30)
+            got = phi.inverse_value(y)
+            assert abs(got - want) <= 4.5e-16 * want, (c, y, got)
+
+
+def test_polynomial_inverse_budget_raises(monkeypatch):
+    monkeypatch.setattr(D, "_NEWTON_STEPS", 1)
+    with pytest.raises(NoConvergence):
+        D.PolynomialMap((0, 2.0, 1.0)).inverse_value(3.0)
+
+
+def test_flow_inverse_stays_in_certified_image():
+    # poly(4, 0.5) maps domain_hint to about 21.2; the backward flow of a
+    # larger y lands past domain_hint, where phi raises DomainExceeded
+    phi = D.FlowGenerated(VectorFieldGen.poly(4, 0.5))
+    top = phi(phi.domain_hint)
+    x = phi.inverse_value(0.999 * top)
+    assert x <= phi.domain_hint
+    # phi' is about 1e10 here, so an ulp of x moves phi(x) by about 1e-8
+    assert phi(x) == pytest.approx(0.999 * top, rel=1e-6)
     with pytest.raises(NoBracket):
-        D.inverse(D.Linear(2.0), -1.0)
+        phi.inverse_value(2.0 * top)
 
 
 # -- iteration --------------------------------------------------------------
@@ -93,7 +128,7 @@ def test_iterate_flow_closed_form():
 
 def test_iterate_negative_matches_inverse():
     phi = flow_x2()
-    assert D.iterate(phi, -1, 0.5) == pytest.approx(D.inverse(phi, 0.5),
+    assert D.iterate(phi, -1, 0.5) == pytest.approx(phi.inverse_value(0.5),
                                                     rel=1e-12)
 
 
@@ -101,19 +136,11 @@ def test_iterate_zero_is_identity():
     assert D.iterate(flow_x2(), 0, 0.37) == 0.37
 
 
-def test_iterate_map_variant():
-    phi = D.IterateMap(D.Linear(2.0), 3)
-    assert phi(1.0) == 8.0
-    inv = D.IterateMap(D.Linear(2.0), -2)
-    assert inv(1.0) == 0.25
-    assert inv.jets(2).coefficients[1] == 0.25
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=-4, max_value=4),
        st.integers(min_value=-4, max_value=4))
 def test_iterate_additivity(k, m):
-    phi = D.TakensPoly(2, 0.0, x1=0.25)
+    phi = D.PolynomialMap((0, 1, 1))
     x = 0.08
     a = D.iterate(phi, k + m, x)
     b = D.iterate(phi, k, D.iterate(phi, m, x))
@@ -162,10 +189,35 @@ def test_classify_needs_flat_declaration():
         D.classify_case(D.JetData((0, 1, 0, 0)))
 
 
+def check_jet_consistency(phi, jets, k_max=3, h=1e-4, tol_scale=1e-6):
+    """Finite-difference audit of declared jets at the origin.
+
+    One-sided differences at step h with one Richardson level; the k-th
+    derivative must match coefficients[k] * k! within tol_scale * k!.
+    Returns the list of (k, estimate, target, ok).
+    """
+    def forward_diff(step, k):
+        return sum(
+            (-1) ** (k - i) * math.comb(k, i) * phi(i * step)
+            for i in range(k + 1)
+        ) / step**k
+
+    rows = []
+    for k in range(1, k_max + 1):
+        d_h = forward_diff(h, k)
+        d_h2 = forward_diff(h / 2, k)
+        est = 2.0 * d_h2 - d_h  # kills the O(h) one-sided error term
+        target = (float(jets.coefficients[k]) * math.factorial(k)
+                  if k <= jets.order else 0.0)
+        ok = abs(est - target) <= tol_scale * math.factorial(k)
+        rows.append((k, est, target, ok))
+    return rows
+
+
 def test_jet_consistency_finite_differences():
-    for phi in (D.TakensPoly(2, 0.5, x1=0.3), flow_x2(),
+    for phi in (D.PolynomialMap((0, 1, 1, 0.5)), flow_x2(),
                 D.PolynomialMap((0, 2.0, 1.0))):
-        rows = phi.jets(4), D.check_jet_consistency(phi, phi.jets(4), k_max=3)
+        rows = phi.jets(4), check_jet_consistency(phi, phi.jets(4), k_max=3)
         for k, est, target, ok in rows[1]:
             assert ok, (phi, k, est, target)
 
@@ -174,12 +226,12 @@ def test_jet_consistency_finite_differences():
 
 def test_composition_identity_inner():
     beta = [3.0, -2.0, 7.0]
-    out = D.composition_derivatives(beta, [1.0, 0.0, 0.0], 3)
+    out = series.bell_composition_derivatives(beta, [1.0, 0.0, 0.0], 3)
     assert out == beta
 
 
 def test_composition_chain_rule_order_one():
-    out = D.composition_derivatives([3.0, 0.0], [2.5, 0.0], 1)
+    out = series.bell_composition_derivatives([3.0, 0.0], [2.5, 0.0], 1)
     assert out[0] == 2.5 * 3.0
 
 
@@ -192,7 +244,7 @@ def test_composition_order_two_against_sympy():
     u0 = float(phi_expr.subs(x, x0))
     beta_derivs = [2.0 * u0, 2.0]
     phi_derivs = [float(sp.diff(phi_expr, x, k).subs(x, x0)) for k in (1, 2)]
-    got = D.composition_derivatives(beta_derivs, phi_derivs, 2)
+    got = series.bell_composition_derivatives(beta_derivs, phi_derivs, 2)
     want = [float(sp.diff(comp, x, k).subs(x, x0)) for k in (1, 2)]
     assert got[0] == pytest.approx(want[0], abs=1e-10)
     assert got[1] == pytest.approx(want[1], abs=1e-10)
@@ -204,7 +256,7 @@ def test_composition_flattening_inner_limit():
     beta = [1.5, -0.3, 2.0, 0.7]
     for eps in (1e-2, 1e-4, 1e-6):
         phi_derivs = [1.0 + eps, eps, eps, eps]
-        out = D.composition_derivatives(beta, phi_derivs, 4)
+        out = series.bell_composition_derivatives(beta, phi_derivs, 4)
         dev = max(abs(a - b) for a, b in zip(out, beta))
         assert dev <= 50 * eps
 
@@ -233,7 +285,6 @@ def test_takens_rescaling_against_composition_oracle():
     jets = D.JetData((0, Fraction(1), Fraction(2), Fraction(5)))
     nf = D.takens_normalize(jets)
     assert nf.n == 2
-    from schroeder import series
     h = list(nf.conjugacy_jets.coefficients)
     h_inv = series.series_inverse(h, 3)
     composed = series.series_compose(
@@ -247,7 +298,6 @@ def test_takens_with_elimination_step():
                       Fraction(0)))
     nf = D.takens_normalize(jets)
     assert nf.n == 3
-    from schroeder import series
     h = list(nf.conjugacy_jets.coefficients)
     h_inv = series.series_inverse(h, 5)
     composed = series.series_compose(
@@ -274,8 +324,9 @@ def test_from_germ_linear():
 
 
 def test_from_germ_takens():
-    phi = D.from_germ({"kind": "takens", "n": 2, "alpha": 0.0, "x1": 0.25})
-    assert phi(0.1) == pytest.approx(0.11, abs=1e-15)
+    # the polynomial normal form is no map model: no command completes on it
+    with pytest.raises(InvalidInput):
+        D.from_germ({"kind": "takens", "n": 2, "alpha": 0.0, "x1": 0.25})
 
 
 def test_from_germ_flow_poly_and_flat():

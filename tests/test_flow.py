@@ -331,7 +331,7 @@ def test_fractional_iterate_negative_time_oracle():
 
 def test_fractional_iterate_requires_flow():
     with pytest.raises(CentralizerNotFlow):
-        fractional_iterate(D.TakensPoly(2, 0.0), 0.5, 0.1)
+        fractional_iterate(D.PolynomialMap((0, 1, 1)), 0.5, 0.1)
 
 
 @settings(max_examples=20, deadline=None)
@@ -358,9 +358,12 @@ def test_koenigs_fixed_point():
     assert koenigs(D.Linear(2.0), 0.0) == 0.0
 
 
-@pytest.mark.parametrize("mu", [1.05, 2.0, 4.0])
-def test_koenigs_conjugacy_residual(mu):
-    phi = D.PolynomialMap((0, mu, 1.0))
+@pytest.mark.parametrize("c", [(0, 1.05, 1.0), (0, 2.0, 1.0), (0, 4.0, 1.0),
+                               (0, 1.5, 0.0, 3.0)],
+                         ids=["1.05", "2.0", "4.0", "cubic"])
+def test_koenigs_conjugacy_residual(c):
+    phi = D.PolynomialMap(c)
+    mu = c[1]
     worst = 0.0
     for x in np.linspace(0.0, 0.5, 26):
         lhs = koenigs(phi, phi(x) if x > 0 else 0.0)
@@ -373,11 +376,11 @@ def test_koenigs_against_logarithm_oracle():
     # 2x + x^2 = (1+x)^2 - 1 linearizes through log(1+x); the relative
     # stop keeps small x as accurate as large x
     phi = D.PolynomialMap((0, 2.0, 1.0))
-    for x in np.geomspace(1e-6, 10.0, 61):
+    for x in np.geomspace(1e-6, 1e4, 61):
         assert koenigs(phi, x) == pytest.approx(math.log1p(x),
                                                 rel=1e-11, abs=0.0)
 
 
 def test_koenigs_rejects_tangent_to_identity():
     with pytest.raises(NotExpanding):
-        koenigs(D.TakensPoly(2, 0.0), 0.2)
+        koenigs(D.PolynomialMap((0, 1, 1)), 0.2)

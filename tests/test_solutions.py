@@ -177,22 +177,22 @@ def test_operator_nilpotent(setup_x2):
 
 def test_chain_solution_roundtrip_exact(setup_x2):
     phi, chart, branch = setup_x2
-    b1 = S.synthesize(branch, chart, {0: 1.0, 1: 0.5, -1: 0.25j})
-    b2 = S.chain_solution(b1)
+    coeffs = {0: 1.0, 1: 0.5, -1: 0.25j}
+    b1 = S.synthesize(branch, chart, coeffs)
+    b2 = S.jordan_solve(branch, chart, 2, seeds=[coeffs, {}])[1]
     back = S.apply_operator(b2)
     assert back.layers == b1.layers or _max_coeff_dev(back, b1) <= 4e-16
 
 
 def test_chain_zero(setup_x2):
     phi, chart, branch = setup_x2
-    z = S.zero_solution(branch, chart)
-    assert S.chain_solution(z).is_zero
+    assert S.jordan_solve(branch, chart, 2, seeds=[{}, {}])[1].is_zero
 
 
 def test_chain_closed_form_and_residual(setup_x2):
     phi, chart, branch = setup_x2
     bs = S.base_solution(branch, chart)
-    b2 = S.chain_solution(bs)
+    b2 = S.jordan_solve(branch, chart, 2, seeds=[{0: 1.0}, {}])[1]
     # (1/e) * (1 - 1/x) * exp(1 - 1/x) at x = 0.5
     want = math.exp(-1) * (1 - 2.0) * math.exp(1 - 2.0)
     assert S.eval_solution(b2, 0.5) == pytest.approx(want, rel=1e-12)
@@ -223,7 +223,11 @@ def test_jordan_m2_matches_chain(setup_x2):
     sols = S.jordan_solve(branch, chart, 2, seeds=[{0: 1.0}, {}])
     bs = S.base_solution(branch, chart)
     assert sols[0].layers == bs.layers
-    assert _max_coeff_dev(sols[1], S.chain_solution(bs)) <= 4e-16
+    # the chain step of a degree-0 b1 is (1/lambda) * b1 * t
+    chain = S.SchroederSolution(
+        branch=branch, chart=chart,
+        layers=({}, {l: v / branch.lam for l, v in bs.layers[0].items()}))
+    assert _max_coeff_dev(sols[1], chain) <= 4e-16
 
 
 def test_jordan_m3_chain_identities(setup_x2):
