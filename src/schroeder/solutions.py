@@ -214,15 +214,24 @@ def scale_solution(c, sol):
                  [{l: c * v for l, v in layer.items()} for layer in sol.layers])
 
 
-def eval_solution(sol, x):
-    """Value at x >= 0; x = 0 returns exactly 0 (the flat extension)."""
-    if isinstance(x, (int, float)) and x < 0:
+def _time(chart, x):
+    # the Abel time a solution is evaluated at; -inf at x = 0, where every
+    # solution is 0 (the flat extension)
+    if x < 0:
         raise DomainError("solutions live on [0, oo)")
-    if x == 0:
+    return chart.abel_time_float(x) if x != 0 else -math.inf
+
+
+def eval_solution(sol, x):
+    """Value at x >= 0; x = 0 returns exactly 0 (the flat extension).
+
+    Every product has complex operands and each layer sums its modes
+    from 0j in the layer's order, so the bits do not hang on how a
+    Python version mixes complex with float or sums complex numbers.
+    """
+    if sol.is_zero and not x < 0:
         return 0.0 + 0.0j
-    if sol.is_zero:
-        return 0.0 + 0.0j
-    tf = sol.chart.abel_time_float(x)
+    tf = _time(sol.chart, x)
     if math.isinf(tf):
         if tf < 0:
             return 0.0 + 0.0j
@@ -233,17 +242,81 @@ def eval_solution(sol, x):
     if mag < -745.0:
         return 0.0 + 0.0j
     try:
-        base = cmath.exp(sol.branch.log_value(0) * tf)
+        base = cmath.exp(sol.branch.log_value(0) * complex(tf))
     except OverflowError:
         raise DomainError(f"the solution overflows floats at x={x}")
     total = 0.0 + 0.0j
     for j, layer in enumerate(sol.layers):
         if not layer:
             continue
-        per = sum(v * cmath.exp(2j * math.pi * l * tf)
-                  for l, v in layer.items())
-        total += per * tf**j
+        per = 0j
+        for l, v in layer.items():
+            per += v * cmath.exp(complex(0.0, _TWO_PI * l * tf))
+        total += per * complex(tf**j)
     return base * total
+
+
+def eval_times(sol, ts, xs):
+    """Values at the points ``xs``, whose Abel times are ``ts``.
+
+    The array form of ``eval_solution``, equal to it bit for bit: every
+    complex product is formed from real and imaginary parts as Python
+    forms a product of two complex numbers, the modes are summed in the
+    layer's order, and powers of t are Python's.  The bits of numpy's
+    complex exp are those of ``cmath.exp`` on the builds the tests run
+    on.  A time of -inf gives 0 and a nan time nan; ``xs`` only names
+    the point in an error.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if sol.is_zero:
+        return np.where(np.isnan(ts), complex(math.nan, math.nan), 0j)
+    out = np.zeros(len(ts), dtype=complex)
+    L0 = sol.branch.log_value(0)
+    R, theta = L0.real, L0.imag
+    live = np.isfinite(ts)
+    # magnitude guard of eval_solution; R t >= -745 already passes it
+    for i in np.flatnonzero(live & (R * ts < -745.0)):
+        tf = float(ts[i])
+        mag = R * tf + sol.degree * math.log(max(abs(tf), 1.0))
+        live[i] = not mag < -745.0
+    tt = np.where(live, ts, 0.0)
+    re = R * tt - theta * 0.0          # L0 * complex(t)
+    im = R * 0.0 + theta * tt
+    # past log(DBL_MAX / 4) ~ 708.4 cmath.exp rescales, and numpy's
+    # exp differs from it; such points, and overflow, take cmath itself
+    hot = live & (re > 700.0)
+    z = np.empty(len(ts), dtype=complex)
+    z.real, z.imag = np.where(hot, 0.0, re), im
+    base = np.exp(z)
+    for i in np.flatnonzero(hot | (ts == math.inf)):
+        tf = float(ts[i])
+        if tf == math.inf:
+            raise DomainError("Abel time overflow on the expanding side")
+        try:
+            base[i] = cmath.exp(L0 * complex(tf))
+        except OverflowError:
+            raise DomainError(f"the solution overflows floats at x={xs[i]}")
+    tot_re = tot_im = 0.0               # total = 0j, as in eval_solution
+    for j, layer in enumerate(sol.layers):
+        if not layer:
+            continue
+        # e**(2 pi i l t) and the layer's sum in its order; a zero phase or
+        # term may carry either sign, since the total's +0.0 absorbs it
+        z = np.empty((len(tt), len(layer)), dtype=complex)
+        z.real = 0.0
+        z.imag = np.multiply.outer(tt, [_TWO_PI * l for l in layer])
+        e = np.exp(z)
+        v = np.array(list(layer.values()))
+        per_re = np.cumsum(v.real * e.real - v.imag * e.imag, axis=1)[:, -1]
+        per_im = np.cumsum(v.real * e.imag + v.imag * e.real, axis=1)[:, -1]
+        p = 1.0 if j == 0 else np.array([t**j for t in tt.tolist()])
+        tot_re = tot_re + (per_re * p - per_im * 0.0)
+        tot_im = tot_im + (per_re * 0.0 + per_im * p)
+    br, bi = base.real, base.imag
+    out.real = np.where(live, br * tot_re - bi * tot_im, 0.0)
+    out.imag = np.where(live, br * tot_im + bi * tot_re, 0.0)
+    out[np.isnan(ts)] = complex(math.nan, math.nan)
+    return out
 
 
 def shift_solution(sol, s):
@@ -352,6 +425,15 @@ class NonResonant:
     pass
 
 
+def _matches(lam, power):
+    """Whether lambda equals ``power`` = mu**k within 1e-9 relative.
+
+    A power past the float range matches no lambda, although
+    |lam - inf| <= 1e-9 inf holds.
+    """
+    return not math.isinf(power) and abs(complex(lam) - power) <= 1e-9 * power
+
+
 def classify_resonance(mu, lam, n_max=32):
     """Resonant(n) iff lambda = mu**n within 1e-9 relative, n <= n_max."""
     if not mu > 1:
@@ -363,7 +445,7 @@ def classify_resonance(mu, lam, n_max=32):
     power = 1.0
     for n in range(1, n_max + 1):
         power *= mu
-        if abs(complex(lam) - power) <= 1e-9 * power:
+        if _matches(lam, power):
             return Resonant(n)
         if power > 2.0 * abs(lam):   # mu**n only grows from here
             break
@@ -382,9 +464,7 @@ def jet_constraints(mu, lam, order):
     power = 1.0
     for k in range(1, order + 1):
         power *= mu
-        # past the float range mu**k matches no lambda (|lam - inf| = inf)
-        forced = math.isinf(power) or abs(complex(lam) - power) > 1e-9 * power
-        rows.append((k, forced))
+        rows.append((k, not _matches(lam, power)))
     return rows
 
 
@@ -408,6 +488,41 @@ def hyperbolic_solution(phi, lam, x, n_max=32, strict=False):
 # --------------------------------------------------------------------------
 # verification
 
+def _solution_residuals(b, lam, phi, xs, prev):
+    # residual_rows over the whole grid: one Abel time per point and per
+    # image, values from eval_times, and the complex arithmetic of the
+    # per-point loop split into real and imaginary parts
+    chart = b.chart
+    pts, times = [], []            # x0, phi(x0), x1, phi(x1), ...
+    escaped = []
+    for i, x in enumerate(xs):
+        pts.append(x)
+        times.append(_time(chart, x))
+        try:
+            y = phi(x)
+            ty = _time(chart, y)
+        except (BlowUp, DomainExceeded):   # the image escapes the window
+            y = ty = math.nan
+            escaped.append(i)
+        pts.append(y)
+        times.append(ty)
+    values = eval_times(b, times, pts)
+    bx, by = values[0::2], values[1::2]
+    tx = times[0::2]
+    if prev is None:
+        px = np.zeros(len(xs), dtype=complex)
+    elif isinstance(prev, SchroederSolution) and prev.chart is chart:
+        px = eval_times(prev, tx, xs)
+    else:
+        px = np.array([complex(prev(x)) for x in xs])
+    lam = complex(lam)
+    rhs_re = (lam.real * bx.real - lam.imag * bx.imag) + px.real
+    rhs_im = (lam.real * bx.imag + lam.imag * bx.real) + px.imag
+    r_abs = np.hypot(by.real - rhs_re, by.imag - rhs_im)
+    r_abs[escaped] = math.nan
+    return bx.tolist(), r_abs.tolist(), np.hypot(rhs_re, rhs_im).tolist(), tx
+
+
 def residual_rows(b, lam, phi, grid, prev=None):
     """Residual of ``b(phi(x)) = lam b(x) + prev(x)`` at each grid point.
 
@@ -418,23 +533,37 @@ def residual_rows(b, lam, phi, grid, prev=None):
     b do not inflate it.  A row whose image phi(x) escapes the certified
     flow window carries nan residuals.  ``b`` and ``prev`` are anything
     callable on floats: solutions, Case-1 translations, plain functions.
+
+    A ``SchroederSolution`` is evaluated over the whole grid at once
+    (``eval_times``), at one Abel time per point and one per image; its
+    rows also carry that time as ``abel_t``.  Other callables are
+    called point by point.
     """
-    values = []
-    for x in grid:
-        x = float(x)
-        bx = b(x)
-        rhs = lam * bx + (prev(x) if prev is not None else 0.0)
-        try:
-            r_abs = abs(b(phi(x)) - rhs)
-        except (BlowUp, DomainExceeded):
-            r_abs = math.nan
-        values.append((x, bx, r_abs, abs(rhs)))
-    scale = max((v[3] for v in values), default=0.0)
-    return [{"x": x, "beta_re": bx.real, "beta_im": bx.imag,
-             "residual_abs": r_abs,
-             "residual_rel": (r_abs / max(mag, 1e-6 * scale, 1e-300)
-                              if r_abs else 0.0)}
-            for x, bx, r_abs, mag in values]
+    xs = [float(x) for x in grid]
+    if isinstance(b, SchroederSolution):
+        bx, r_abs, mags, tx = _solution_residuals(b, lam, phi, xs, prev)
+    else:
+        bx, r_abs, mags, tx = [], [], [], None
+        for x in xs:
+            v = b(x)
+            rhs = lam * v + (prev(x) if prev is not None else 0.0)
+            try:
+                r = abs(b(phi(x)) - rhs)
+            except (BlowUp, DomainExceeded):
+                r = math.nan
+            bx.append(v)
+            r_abs.append(r)
+            mags.append(abs(rhs))
+    scale = max(mags, default=0.0)
+    rows = [{"x": x, "beta_re": v.real, "beta_im": v.imag,
+             "residual_abs": r,
+             "residual_rel": (r / max(mag, 1e-6 * scale, 1e-300)
+                              if r else 0.0)}
+            for x, v, r, mag in zip(xs, bx, r_abs, mags)]
+    if tx is not None:
+        for row, t in zip(rows, tx):
+            row["abel_t"] = t
+    return rows
 
 
 def sup_residual(rows, key="residual_rel"):
@@ -455,16 +584,14 @@ def verify_residual(sol, phi, grid, equation="I", prev=None, rel_tol=1e-8):
     equation "I":   beta(phi(x)) - lambda beta(x)
     equation "II":  beta(phi(x)) - lambda beta(x) - prev(x)
 
-    Rows come from ``residual_rows`` plus the Abel time of each x; a grid
-    point whose image escapes the flow window fails the verdict.
+    Rows come from ``residual_rows``, with the Abel time of each x; a
+    grid point whose image escapes the flow window fails the verdict.
     """
     if equation not in ("I", "II"):
         raise InvalidInput("equation must be 'I' or 'II'")
     if equation == "II" and prev is None:
         raise InvalidInput("chain residual needs the previous chain element")
     table = residual_rows(sol, sol.branch.lam, phi, grid, prev)
-    for row in table:
-        row["abel_t"] = sol.chart.abel_time_float(row["x"])
     report = VerificationReport(
         kind=f"residual-{equation}",
         tolerances={"rel_tol": rel_tol})
@@ -557,21 +684,13 @@ def verify_flatness(sol, k_max, x_grid, final_tol=1e-6):
 # --------------------------------------------------------------------------
 # coefficient files
 
-def solution_to_coeff_dict(sol):
-    return {
-        "lambda": {"re": sol.branch.lam.real, "im": sol.branch.lam.imag},
-        "theta0": sol.branch.theta0,
-        "layers": [
-            {"j": j, "coeffs": [
-                {"l": l, "re": v.real, "im": v.imag}
-                for l, v in sorted(layer.items())]}
-            for j, layer in enumerate(sol.layers)
-        ],
-    }
-
-
 def solution_from_coeff_dict(data, chart):
-    """Inverse of ``solution_to_coeff_dict``; other data is InvalidInput."""
+    """The solution stored in a coefficient file's data.
+
+    ``data`` holds ``lambda`` ({"re", "im"}), an optional ``theta0`` (else
+    the principal argument) and ``layers``, a list of {"j", "coeffs":
+    [{"l", "re", "im"}, ...]}; other data is InvalidInput.
+    """
     try:
         lam = complex(data["lambda"]["re"], data["lambda"].get("im", 0.0))
         theta0 = data.get("theta0")

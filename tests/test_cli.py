@@ -140,6 +140,23 @@ def test_aut_command_group_laws(tmp_path):
     assert by_name["inverse_law_dev"]["value"] <= 1e-9
 
 
+@pytest.mark.parametrize("rho", [
+    {"kind": "poly", "n": 3},
+    {"kind": "poly", "n": 4},
+    {"kind": "poly", "n": 2, "a": 0.5},
+    {"kind": "flat", "form": "exp(-1/x)"},
+])
+def test_aut_command_on_germs_with_short_lifetimes(tmp_path, rho):
+    # the probe point 0.8 lies past blowup_x(1) of x^3, x^4 and
+    # x^2 + 0.5 x^3; the probes shrink with the chart's window
+    cfg = write_config(tmp_path, "a.json", {
+        "germ": {"kind": "flow", "rho": rho}, "lambda": math.e,
+        "seed": 11, "count": 3})
+    out = tmp_path / "out"
+    assert main(["aut", "--config", cfg, "--out", str(out)]) == 0
+    assert load_report(out)["status"] == "pass"
+
+
 def test_fiber_match_and_mismatch(tmp_path):
     lam = math.e
     cfg1 = write_config(tmp_path, "fb1.json", {
@@ -378,6 +395,17 @@ def test_verify_escaping_grid_fails(tmp_path):
     assert by_name["max_residual_rel"]["pass"] is False
     rows = list(csv.DictReader(open(out / "residuals.csv")))
     assert math.isnan(float(rows[-1]["residual_I_rel"]))
+
+
+def test_verify_zero_solution_escaping_grid_fails(tmp_path):
+    # the zero solution has no residual either where phi(x) escapes
+    cfg = write_config(tmp_path, "v.json", {**ESCAPING, "coeffs": {"0": 0}})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
+    rows = list(csv.DictReader(open(out / "residuals.csv")))
+    assert [math.isnan(float(r["residual_I_abs"])) for r in rows] == \
+        [float(r["x"]) >= 1.0 for r in rows]
+    assert all(float(r["beta_re"]) == 0.0 for r in rows)
 
 
 def _reject_constant(name):

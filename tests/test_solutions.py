@@ -10,8 +10,11 @@ import pytest
 from schroeder import diffeo as D
 from schroeder import solutions as S
 from schroeder.errors import (
+    BlowUp,
     DecayViolation,
     DegreeOverflow,
+    DomainError,
+    DomainExceeded,
     NonResonantRequest,
     StepTooSmall,
 )
@@ -271,9 +274,11 @@ def test_jet_constraints_examples():
 
 
 def test_resonance_past_the_float_range():
-    # 2**1024 overflows to inf, and |3 - inf| <= 1e-9 inf would hold
-    assert S.classify_resonance(2, 3, n_max=2000) == S.NonResonant()
-    assert all(forced for _, forced in S.jet_constraints(2, 3, 2000))
+    # 2**1024 overflows to inf, and |3 - inf| <= 1e-9 inf would hold; at
+    # lambda = 1e308, 2 |lambda| = inf never stops the scan before it
+    for lam in (3, 1e308):
+        assert S.classify_resonance(2, lam, n_max=2000) == S.NonResonant()
+        assert all(forced for _, forced in S.jet_constraints(2, lam, 2000))
 
 
 @pytest.mark.parametrize("mu,lam", [(2, 2), (2, 4), (2, 8), (3, 9),
@@ -434,10 +439,24 @@ def test_flatness_requires_decreasing_grid(setup_x2):
 
 # -- coefficient files -------------------------------------------------------------------------
 
+def _to_coeff_dict(sol):
+    # the coefficient-file format, written independently of its reader
+    return {
+        "lambda": {"re": sol.branch.lam.real, "im": sol.branch.lam.imag},
+        "theta0": sol.branch.theta0,
+        "layers": [
+            {"j": j, "coeffs": [
+                {"l": l, "re": v.real, "im": v.imag}
+                for l, v in sorted(layer.items())]}
+            for j, layer in enumerate(sol.layers)
+        ],
+    }
+
+
 def test_coefficient_dict_roundtrip(setup_x2):
     phi, chart, branch = setup_x2
     sols = S.jordan_solve(branch, chart, 2, seeds=[{0: 1.0, -2: 0.5j}, {1: 2.0}])
-    data = S.solution_to_coeff_dict(sols[1])
+    data = _to_coeff_dict(sols[1])
     back = S.solution_from_coeff_dict(data, chart)
     assert back.layers == sols[1].layers
     assert back.branch == sols[1].branch
@@ -461,3 +480,190 @@ def test_sup_residual_keeps_nan():
     assert math.isnan(S.sup_residual(rows))
     assert S.sup_residual(rows[::2]) == 1e-3
     assert S.sup_residual([]) == 0.0
+
+
+# -- the array evaluator and the residual kernel -----------------------------------
+
+def _bits(z):
+    # repr tells -0.0 from 0.0 and shows nan, which == does not
+    z = complex(z)
+    return repr(z.real), repr(z.imag)
+
+
+def _random_solution(rng, chart, degree):
+    lam = rng.uniform(1.2, 4.0) * cmath.exp(1j * rng.uniform(-3.14, 3.14))
+    layers = []
+    for _ in range(degree + 1):
+        modes = rng.permutation(np.arange(-20, 21))[:rng.integers(1, 42)]
+        layers.append({int(l): complex(rng.normal(), rng.normal())
+                       * 4.0 ** (-abs(int(l))) for l in modes})
+    return S.SchroederSolution(branch=S.LambdaBranch.principal(lam),
+                               chart=chart, layers=tuple(layers))
+
+
+def _assert_eval_times_matches(sol, xs):
+    ts = [sol.chart.abel_time_float(x) for x in xs]
+    got = S.eval_times(sol, ts, xs)
+    assert [_bits(v) for v in got] == \
+        [_bits(S.eval_solution(sol, x)) for x in xs]
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+@pytest.mark.parametrize("seed", range(4))
+def test_eval_times_matches_scalar_bit_for_bit(seed, degree):
+    rng = np.random.default_rng([seed, degree])
+    for gen in (VectorFieldGen.poly(2, 0.0), VectorFieldGen.poly(3, 0.5)):
+        chart = AbelChart(gen)
+        sol = _random_solution(rng, chart, degree)
+        xs = [float(x) for x in
+              np.geomspace(1e-4, 0.9 * chart.blowup_x(1.0), 200)]
+        # points just past the magnitude guard, where only the layer term
+        # log|t| keeps a solution of degree 1 alive (up to R t ~ -752)
+        R = sol.branch.R
+        xs += [chart.invert_abel(-(745.0 + d) / R)
+               for d in (0.5, 2.0, 4.0, 10.0)]
+        _assert_eval_times_matches(sol, xs)
+        _assert_eval_times_matches(S.zero_solution(sol.branch, chart), xs)
+
+
+def test_eval_times_dead_exponential_is_zero(setup_x2):
+    phi, chart, branch = setup_x2
+    sol = S.synthesize(branch, chart, {0: 1.0, 1: 0.5j, -1: 0.25})
+    xs = [1e-5, 1e-4, 1e-3]            # R t = -99999, -9999, -999
+    assert all(v == 0 for v in S.eval_times(
+        sol, [chart.abel_time_float(x) for x in xs], xs))
+    _assert_eval_times_matches(sol, xs)
+
+
+def test_eval_times_keeps_the_sign_of_zero(setup_x2):
+    # sum() starts from +0 and turns a -0.0 first term into +0.0; at
+    # x0 = 1 (t = 0) each single-mode layer below is such a term
+    phi, chart, branch = setup_x2
+    for c in (complex(-1.0, -0.0), complex(-0.0, -1.0), complex(-0.0, -0.0)):
+        for layers in (({0: c},), ({1: c},), ({0: c}, {-2: c})):
+            sol = S.SchroederSolution(branch=branch, chart=chart,
+                                      layers=layers)
+            _assert_eval_times_matches(sol, [1.0, 0.5, 0.9])
+
+
+def test_eval_times_flat_chart_minus_inf_times():
+    chart = AbelChart(VectorFieldGen.flat())
+    rng = np.random.default_rng(7)
+    sol = _random_solution(rng, chart, 1)
+    xs = [1e-300, 1e-100, 1e-3, 0.05, 0.5, 3.0]
+    assert chart.abel_time_float(1e-100) == -math.inf
+    _assert_eval_times_matches(sol, xs)
+
+
+def test_eval_times_overflow_raises_as_the_scalar_path():
+    # over rho = x^30 - 0.5 x^31 the Abel time grows without bound toward
+    # x = 2; points with R t in (700, 709.7) take cmath.exp, and the first
+    # point past the float range raises with its x
+    chart = AbelChart(VectorFieldGen.poly(30, -0.5))
+    branch = S.LambdaBranch.principal(2.0 + 1.0j)
+    sol = S.synthesize(branch, chart, {0: 1.0, 2: 0.1, -1: 0.2j})
+    R = branch.R
+    hot = [chart.invert_abel(s / R) for s in (600.0, 701.0, 705.0, 709.0)]
+    _assert_eval_times_matches(sol, hot)
+    xs = hot + [chart.invert_abel(712.0 / R), chart.invert_abel(720.0 / R)]
+    with pytest.raises(DomainError) as scalar:
+        for x in xs:
+            S.eval_solution(sol, x)
+    with pytest.raises(DomainError) as array:
+        S.eval_times(sol, [chart.abel_time_float(x) for x in xs], xs)
+    assert str(array.value) == str(scalar.value)
+    assert str(xs[4]) in str(array.value)
+
+
+def test_eval_times_non_finite_times(setup_x2):
+    phi, chart, branch = setup_x2
+    sol = S.base_solution(branch, chart)
+    assert all(np.isnan(S.eval_times(sol, [math.nan], [math.nan]).view(float)))
+    with pytest.raises(DomainError, match="Abel time overflow"):
+        S.eval_times(sol, [0.0, math.inf], [1.0, 2.0])
+
+
+def _reference_rows(b, lam, phi, grid, prev=None):
+    # the per-point residual kernel, with a second Abel time for abel_t
+    values = []
+    for x in grid:
+        x = float(x)
+        bx = b(x)
+        rhs = lam * bx + (prev(x) if prev is not None else 0.0)
+        try:
+            r_abs = abs(b(phi(x)) - rhs)
+        except (BlowUp, DomainExceeded):
+            r_abs = math.nan
+        values.append((x, bx, r_abs, abs(rhs)))
+    scale = max((v[3] for v in values), default=0.0)
+    rows = [{"x": x, "beta_re": bx.real, "beta_im": bx.imag,
+             "residual_abs": r_abs,
+             "residual_rel": (r_abs / max(mag, 1e-6 * scale, 1e-300)
+                              if r_abs else 0.0)}
+            for x, bx, r_abs, mag in values]
+    for row in rows:
+        row["abel_t"] = b.chart.abel_time_float(row["x"])
+    return rows
+
+
+def _assert_rows_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.keys() == w.keys()
+        assert {k: repr(v) for k, v in g.items()} == \
+            {k: repr(v) for k, v in w.items()}
+
+
+@pytest.mark.parametrize("n,a", [(2, 0.0), (3, 0.5)])
+def test_residual_rows_match_the_point_loop(n, a):
+    phi = D.FlowGenerated(VectorFieldGen.poly(n, a))
+    chart = phi.chart
+    rng = np.random.default_rng(n)
+    grid = std_grid(chart)
+    for _ in range(3):
+        sol = _random_solution(rng, chart, 0)
+        lam = sol.branch.lam
+        # equation I, and equation II on a Jordan chain over the same modes
+        _assert_rows_equal(S.residual_rows(sol, lam, phi, grid),
+                           _reference_rows(sol, lam, phi, grid))
+        chain = S.jordan_solve(sol.branch, chart, 2,
+                               seeds=[sol.layers[0], {1: 0.5, -3: 0.1j}])
+        _assert_rows_equal(
+            S.residual_rows(chain[1], lam, phi, grid, prev=chain[0]),
+            _reference_rows(chain[1], lam, phi, grid, prev=chain[0]))
+
+
+def test_residual_rows_match_the_point_loop_on_escaping_rows(setup_x2):
+    phi, chart, branch = setup_x2
+    rng = np.random.default_rng(11)
+    sol = _random_solution(rng, chart, 1)
+    lam = sol.branch.lam
+    grid = list(np.geomspace(1e-3, 3.0, 32)) + [0.05, 0.2, 0.5, 2.0]
+    rows = S.residual_rows(sol, lam, phi, grid)
+    _assert_rows_equal(rows, _reference_rows(sol, lam, phi, grid))
+    # over rho = x^2 every x >= 1 escapes
+    assert [math.isnan(r["residual_rel"]) for r in rows] == \
+        [x >= 1.0 for x in grid]
+    prev = S.base_solution(sol.branch, chart)
+    _assert_rows_equal(S.residual_rows(sol, lam, phi, grid, prev=prev),
+                       _reference_rows(sol, lam, phi, grid, prev=prev))
+    # the zero solution, whose escaped rows carry nan and not 0
+    zero = S.zero_solution(sol.branch, chart)
+    rows = S.residual_rows(zero, lam, phi, grid)
+    _assert_rows_equal(rows, _reference_rows(zero, lam, phi, grid))
+    assert [math.isnan(r["residual_abs"]) for r in rows] == \
+        [x >= 1.0 for x in grid]
+
+
+def test_flat_verify_computes_one_abel_time_per_point(monkeypatch):
+    # the abel_t column reuses the evaluation time: on 64 points the
+    # per-point kernel made 438 Ei calls, 64 of them for that column
+    phi = D.FlowGenerated(VectorFieldGen.flat())
+    sol = S.base_solution(S.LambdaBranch.principal(math.e), phi.chart)
+    calls = []
+    ei = mpmath.ei
+    monkeypatch.setattr(mpmath, "ei", lambda *a, **k: calls.append(1)
+                        or ei(*a, **k))
+    rep = S.verify_residual(sol, phi, np.geomspace(1e-3, 9.0, 64))
+    assert rep.passed
+    assert len(calls) == 374
