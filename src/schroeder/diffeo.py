@@ -223,6 +223,8 @@ class FlowGenerated(HalfLineDiffeo):
     def __init__(self, gen: VectorFieldGen, time: float = 1.0):
         if not time > 0:
             raise InvalidInput(f"flow time must be positive, got {time}")
+        if math.isinf(time):
+            raise InvalidInput(f"flow time must be finite, got {time}")
         self.gen = gen
         self.time = float(time)
         self.chart = AbelChart(gen)

@@ -3,9 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import schroeder
 from schroeder.cli import main
 
 E_STR = repr(math.e)
@@ -24,6 +29,7 @@ def load_report(out_dir):
 
 FLOW_GERM = {"kind": "flow", "rho": {"kind": "poly", "n": 2, "a": 0.0},
              "time": 1.0}
+FLAT_GERM = {"kind": "flow", "rho": {"kind": "flat", "form": "exp(-1/x)"}}
 
 
 def test_resonance_pass(tmp_path):
@@ -243,6 +249,9 @@ def test_exit_code_config_errors(tmp_path, capsys):
         # the polynomial normal form is no map model
         ("fiber", {"lambda": 2.0,
                    "germ": {"kind": "takens", "n": 2, "alpha": 0}}),
+        # JSON reads a time of 1e999 as inf
+        ("verify", {"germ": dict(FLOW_GERM, time=math.inf), "lambda": 2.0}),
+        ("verify", {"germ": dict(FLAT_GERM, time=math.inf), "lambda": 2.0}),
     ]
     for i, (command, payload) in enumerate(rows):
         capsys.readouterr()
@@ -272,8 +281,6 @@ def test_poly_chart_float_overflow_exits_3(tmp_path, capsys):
     assert rep["status"] == "numerical-failure"
     assert rep["summary"]["error_type"] == "DomainError"
 
-
-FLAT_GERM = {"kind": "flow", "rho": {"kind": "flat", "form": "exp(-1/x)"}}
 
 
 def test_flat_solve_down_to_grid_min_1e4(tmp_path):
@@ -435,3 +442,34 @@ def test_report_is_strict_json(tmp_path, payload, status):
     if status == "fail":
         assert by_name["max_residual_rel"]["value"] == "nan"
         assert math.isnan(float(rep["summary"]["max_residual_rel"]))
+
+
+def _assert_no_scipy_after(code):
+    # a fresh interpreter, since this one may have loaded scipy already
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(schroeder.__file__).resolve().parents[1]))
+    probe = code + ("\nimport sys\n"
+                    "print(sorted(m for m in sys.modules "
+                    "if m.split('.')[0] == 'scipy'))\n")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_import_loads_no_scipy():
+    _assert_no_scipy_after("import schroeder.cli")
+
+
+def test_poly_verify_and_flat_flatness_load_no_scipy(tmp_path):
+    verify = write_config(tmp_path, "v.json", {
+        "germ": FLOW_GERM, "lambda": 2.0,
+        "grid": {"min": 1e-3, "max": 0.9, "count": 16}})
+    flatness = write_config(tmp_path, "f.json", {
+        "germ": FLAT_GERM, "lambda": math.e, "k_max": 5})
+    _assert_no_scipy_after(
+        "from schroeder.cli import main\n"
+        f"assert main(['verify', '--config', {verify!r}, "
+        f"'--out', {str(tmp_path / 'v')!r}]) == 0\n"
+        f"assert main(['flatness', '--config', {flatness!r}, "
+        f"'--out', {str(tmp_path / 'f')!r}]) == 0\n")

@@ -9,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schroeder import diffeo as D
-from schroeder.errors import BlowUp, CentralizerNotFlow, DomainError, NotExpanding
+from schroeder import flow
+from schroeder.errors import (
+    BlowUp,
+    CentralizerNotFlow,
+    DomainError,
+    InvalidInput,
+    NotExpanding,
+    QuadratureFail,
+)
 from schroeder.flow import (
     AbelChart,
     VectorFieldGen,
@@ -228,6 +236,67 @@ def test_saturating_chart_matches_mpmath_quadrature():
     with mp.workdps(30):
         for x in (1e-3, 0.02, 0.3, 0.7, 1.3, 1.55, 2.05, 3.0, 7.5):
             _assert_rel(ch.abel_time(x), _mp_abel_time(gen, ch.x0, x))
+
+
+@pytest.mark.parametrize("n, a, sat", [(3, 0.5, 3.0), (4, 0.2, 5.0),
+                                       (5, 0.0, 20.0)])
+def test_blend_quadrature_matches_mpmath(n, a, sat):
+    gen = VectorFieldGen.poly(n, a, saturation=sat)
+    rho, _ = _mp_rho(gen)
+    lo = gen.guard * sat
+    got, _ = flow.quad(lambda u: 1.0 / gen.rho(u), lo, sat)
+    with mp.workdps(30):
+        want = mp.quad(lambda u: 1 / rho(u), [lo, sat])
+    _assert_rel(got, want, tol=1e-12)
+
+
+def test_blend_quadrature_is_one_call_per_integral(monkeypatch):
+    ch = AbelChart(VectorFieldGen.poly(2, 0.5, saturation=2.0))
+    original, calls = flow.quad, []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(flow, "quad", counted)
+    ch.abel_time(1.8)   # inside the blend [1.6, 2]
+    assert len(calls) == 1
+
+
+class _JumpGen(VectorFieldGen):
+    # rho doubles at 1.6 + 0.4/3, which no halving of [1.6, 2] reaches
+    def rho(self, x):
+        r = super().rho(x)
+        return 2.0 * r if x > 1.6 + 0.4 / 3 else r
+
+
+def test_blend_quadrature_fails_on_a_jump():
+    with pytest.raises(QuadratureFail):
+        AbelChart(_JumpGen(kind="poly", n=2, saturation=2.0))
+
+
+@pytest.mark.parametrize("s, error", [(-1.0, InvalidInput),
+                                      (0.0, InvalidInput),
+                                      (math.nan, InvalidInput),
+                                      (1e-300, DomainError)])
+def test_saturation_radius_is_checked(s, error):
+    # 1e-300: rho underflows to 0 on the blend
+    with pytest.raises(error):
+        AbelChart(VectorFieldGen.poly(2, 0.0, saturation=s))
+
+
+@pytest.mark.parametrize("gen, method, args, error", [
+    (VectorFieldGen.flat(), "flow_map", (math.nan, 0.5), InvalidInput),
+    (VectorFieldGen.flat(), "flow_map", (1.0, math.inf), DomainError),
+    (VectorFieldGen.flat(), "abel_time", (math.inf,), DomainError),
+    (VectorFieldGen.flat(), "abel_time_float", (math.inf,), DomainError),
+    (VectorFieldGen.poly(2, 0.0), "flow_map", (math.nan, 0.5), InvalidInput),
+    (VectorFieldGen.poly(2, 0.0), "flow_map", (1.0, math.inf), DomainError),
+    (VectorFieldGen.poly(2, 0.0), "flow_map", (math.inf, 0.5), BlowUp),
+])
+def test_non_finite_chart_inputs_raise_typed_errors(gen, method, args, error):
+    with pytest.raises(error):
+        getattr(AbelChart(gen), method)(*args)
 
 
 @pytest.mark.parametrize("n, a", [(2, 0.0), (2, 0.5), (3, 2.0), (4, -0.3)])
