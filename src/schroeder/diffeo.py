@@ -143,6 +143,8 @@ class Linear(HalfLineDiffeo):
     mu: float
 
     def __post_init__(self):
+        if not self.mu < math.inf:   # inf and nan; -inf fails mu > 1
+            raise InvalidInput(f"mu must be finite, got {self.mu}")
         if not self.mu > 1:
             raise NotExpandingInput("linear map requires mu > 1")
 
@@ -171,6 +173,8 @@ class PolynomialMap(HalfLineDiffeo):
         c = self.coefficients
         if len(c) < 2 or c[0] != 0:
             raise InvalidInput("need c0 = 0 and at least a linear term")
+        if not all(abs(v) < math.inf for v in c):   # big ints pass
+            raise InvalidInput(f"coefficients must be finite, got {c}")
         if c[1] < 1:
             raise NotExpandingInput("linear coefficient below 1")
         if any(v < 0 for v in c):

@@ -30,17 +30,14 @@ The flat chart spends digits only where a result needs them:
   a three-term series gives to within the Newton tolerance
   ``10**-(dps + 10 - 12)`` relative to x takes that series: one ``exp``
   and no Ei (x below about 0.026 when |t| = 1).  Every other flow
-  inverts t(x) + t by Newton's method on the Ei primitive;
+  solves F(y) = F(x) + t by Newton's method on the Ei primitive, from
+  a float guess by the same series or by the asymptotics of F;
 * ``abel_time_float``, for callers that read only a float, evaluates the
   primitive at ``_FLOAT_DPS + log10(1/x)`` digits, since
   ``u e**(1/u) - Ei(1/u)`` cancels about log10(1/x) of them.
 
 Chart precision is capped at ``_DPS_CAP`` digits (x down to about
 8.8e-5); past the cap the chart raises ``PrecisionExceeded``.
-
-Only flat flows above the series switch load scipy (``expi`` and
-``brentq`` give the float guess of their Newton inversion); the module
-itself imports none of it.
 """
 
 import functools
@@ -240,6 +237,8 @@ class AbelChart:
         except ZeroDivisionError:
             raise DomainError(f"rho underflows to 0 on the blend "
                               f"[{lo:.3g}, {hi:.3g}]")
+        if not math.isfinite(val):
+            raise DomainError(f"1/rho overflows on [{lo:.3g}, {hi:.3g}]")
         if not err <= 1e-9 * max(1.0, abs(val)):
             raise QuadratureFail(f"estimated error {err} on [{lo}, {hi}]")
         return val
@@ -357,39 +356,40 @@ class AbelChart:
             return x + tau * (1 + tau * v**2 / 2
                               + tau**2 * (v**4 - v**3) / 3)
 
-    def _invert_flat(self, s):
-        # initial guess for F(y) = F(x0) + s
-        sf = float(mp.mpf(s)) if not isinstance(s, float) else s
-        if sf < -1e200 or math.isinf(sf):
-            guess = self._asymptotic_guess(s)
-        else:
-            from scipy.special import expi
+    def _flat_guess(self, t, x, fx):
+        # float start of the Newton inversion of F(y) = F(x) + t, fx = F(x):
+        # the displacement series while it converges (|tau| below x**2 and
+        # x), else the asymptotics of F: -y**2 e**(1/y) for a target below
+        # -2 (that form never exceeds -e**2/4), y + log y above it
+        v = 1.0 / x
+        tau = float(t) * math.exp(-v)
+        eps = tau * v * v
+        if abs(eps) * max(x, 1.0) < 1.0:
+            return x + tau * (1 + eps / 2 + eps * eps * (1 - x) / 3)
+        target = fx + t
+        if target < -2:
+            return self._asymptotic_guess(target)
+        return max(target, 1)
 
-            def f_float(u):
-                return u * math.exp(1.0 / u) - expi(1.0 / u)
-
-            base = f_float(self.x0)
-            lo, hi = 1.0 / 600.0, max(4.0 * self.x0, 8.0)
-            while f_float(hi) - base < sf:
-                hi *= 2.0
-                if hi > 1e12:
-                    break
-            if f_float(lo) - base > sf:
-                guess = self._asymptotic_guess(s)
-            else:
-                from scipy.optimize import brentq
-                guess = brentq(lambda u: f_float(u) - base - sf, lo, hi,
-                               xtol=1e-13, rtol=1e-12)
-        dps = max(self._dps_for_x(guess), self._dps_for_x(self.x0)) + 10
+    def _invert_flat(self, t, x):
+        # exp(t X)(x): Newton on F(y) = F(x) + t at the precision of the
+        # smaller of x and the guess (a backward flow lands below x); F(x)
+        # needs only that of x, since y moves by its error times e**(-1/y)
+        if math.isinf(t):
+            raise (BlowUp if t > 0 else DomainError)(
+                f"the flat flow to time {t} leaves the chart")
+        with mp.workdps(self._dps_for_x(x) + 10):
+            fx = self._flat_primitive(mp.mpf(x))
+        guess = self._flat_guess(t, float(x), fx)
+        dps = self._dps_for_x(min(float(x), guess)) + 10
         with mp.workdps(dps):
-            target = self._flat_primitive(mp.mpf(self.x0)) + mp.mpf(s)
+            target = fx + mp.mpf(t)
             y = mp.mpf(guess)
             tol = mp.mpf(10) ** (-(dps - 12))
             for _ in range(120):
                 step = (self._flat_primitive(y) - target) * mp.e ** (-1 / y)
-                y_new = y - step
-                if y_new <= 0:
-                    y_new = y / 2
+                # from above concave F a full step overshoots, maybe to 0
+                y_new = max(y - step, y / 2)
                 if abs(y_new - y) <= tol * y_new:
                     return y_new
                 y = y_new
@@ -400,7 +400,7 @@ class AbelChart:
     def invert_abel(self, s):
         """The unique x > 0 with abel_time(x) = s."""
         if self.gen.kind == "flat":
-            return self._invert_flat(s)
+            return self._invert_flat(s, self.x0)
         if s >= self._t_sup:
             raise BlowUp(f"target time {s} at or past the chart supremum "
                          f"{self._t_sup}")
@@ -439,12 +439,7 @@ class AbelChart:
             raise DomainError("flows are computed from x > 0")
         if self.gen.kind == "flat":
             y = self._flat_displacement_flow(t, x)
-            if y is not None:
-                return y
-            # the sum must be formed at chart precision: t(x) can dwarf t
-            with mp.workdps(self._dps_for_x(x) + 15):
-                s = self._abel_flat(x) + mp.mpf(t)
-            return self._invert_flat(s)
+            return y if y is not None else self._invert_flat(t, x)
         s = self.abel_time(x) + t
         if s >= self._t_sup:
             raise BlowUp(

@@ -1,5 +1,6 @@
 """CLI contract: configs, reports, exit codes, determinism."""
 
+import ast
 import csv
 import json
 import math
@@ -249,6 +250,8 @@ def test_exit_code_config_errors(tmp_path, capsys):
         # the polynomial normal form is no map model
         ("fiber", {"lambda": 2.0,
                    "germ": {"kind": "takens", "n": 2, "alpha": 0}}),
+        # JSON reads a multiplier of 1e999 as inf
+        ("fiber", {"lambda": 2.0, "germ": {"kind": "linear", "mu": math.inf}}),
         # JSON reads a time of 1e999 as inf
         ("verify", {"germ": dict(FLOW_GERM, time=math.inf), "lambda": 2.0}),
         ("verify", {"germ": dict(FLAT_GERM, time=math.inf), "lambda": 2.0}),
@@ -281,6 +284,17 @@ def test_poly_chart_float_overflow_exits_3(tmp_path, capsys):
     assert rep["status"] == "numerical-failure"
     assert rep["summary"]["error_type"] == "DomainError"
 
+
+
+@pytest.mark.parametrize("time", [1e20, 1e300])
+def test_huge_flat_germ_time_exits_without_traceback(tmp_path, capsys, time):
+    # phi(x) leaves the float range; the flat inversion still converges
+    cfg = write_config(tmp_path, "v.json", {
+        "germ": dict(FLAT_GERM, time=time), "lambda": 2.0,
+        "grid": {"min": 0.1, "max": 5.0, "count": 8}})
+    out = str(tmp_path / "out")
+    assert main(["verify", "--config", cfg, "--out", out]) in (0, 3)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_flat_solve_down_to_grid_min_1e4(tmp_path):
@@ -467,9 +481,33 @@ def test_poly_verify_and_flat_flatness_load_no_scipy(tmp_path):
         "grid": {"min": 1e-3, "max": 0.9, "count": 16}})
     flatness = write_config(tmp_path, "f.json", {
         "germ": FLAT_GERM, "lambda": math.e, "k_max": 5})
+    # flat flows above the series switch (x > 0.026) run the Ei Newton
+    flat_verify = write_config(tmp_path, "fv.json", {
+        "germ": FLAT_GERM, "lambda": math.e,
+        "grid": {"min": 0.05, "max": 5.0, "count": 8}})
     _assert_no_scipy_after(
         "from schroeder.cli import main\n"
         f"assert main(['verify', '--config', {verify!r}, "
         f"'--out', {str(tmp_path / 'v')!r}]) == 0\n"
         f"assert main(['flatness', '--config', {flatness!r}, "
-        f"'--out', {str(tmp_path / 'f')!r}]) == 0\n")
+        f"'--out', {str(tmp_path / 'f')!r}]) == 0\n"
+        f"assert main(['verify', '--config', {flat_verify!r}, "
+        f"'--out', {str(tmp_path / 'fv')!r}]) == 0\n")
+
+
+def test_package_imports_only_stdlib_numpy_and_mpmath():
+    # the two dependencies that pyproject.toml lists
+    allowed = set(sys.stdlib_module_names) | {"numpy", "mpmath"}
+    src = Path(schroeder.__file__).resolve().parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found |= {(path.name, n) for n in names
+                      if n.split(".")[0] not in allowed}
+    assert not found, sorted(found)

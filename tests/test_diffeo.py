@@ -316,6 +316,19 @@ def test_takens_requires_case_two():
         D.takens_normalize(D.JetData((0, 2, 1, 0)))
 
 
+@pytest.mark.parametrize("make, arg", [
+    (D.Linear, math.inf), (D.Linear, math.nan),
+    (D.PolynomialMap, (0, 2, math.inf)), (D.PolynomialMap, (0, 2, math.nan)),
+    (D.PolynomialMap, (0, math.inf))])
+def test_non_finite_map_coefficients_are_rejected(make, arg):
+    with pytest.raises(InvalidInput):
+        make(arg)
+
+
+def test_big_integer_coefficients_are_finite():
+    assert D.PolynomialMap((0, 2, 10**400)).jets(2).coefficients[2] == 10**400
+
+
 # -- germ descriptors -------------------------------------------------------------
 
 def test_from_germ_linear():

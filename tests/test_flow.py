@@ -146,10 +146,38 @@ def test_flat_flow_switch_agrees_with_ei_newton():
             dps = ch._dps_for_x(x) + 10
             with mp.workdps(dps + 5):
                 s = ch._abel_flat(x) + t
-            want = ch._invert_flat(s)
+            want = ch.invert_abel(s)
             with mp.workdps(dps + 5):
                 assert abs(y - want) <= mp.mpf(10) ** (12 - dps) * want
     assert paths == {True, False}
+
+
+def test_flat_flow_above_the_switch_makes_few_ei_calls(monkeypatch):
+    # one F(x) and the Newton steps from the chart's own float guess
+    ch = AbelChart(VectorFieldGen.flat())
+    calls = []
+    ei = mp.ei
+    monkeypatch.setattr(mp, "ei", lambda *a, **k: calls.append(1)
+                        or ei(*a, **k))
+    for x in np.geomspace(0.03, 9.0, 40):
+        for t in (1.0, -1.0):
+            calls.clear()
+            ch.flow_map(t, float(x))
+            assert 1 <= len(calls) <= 6, (x, t, len(calls))
+
+
+@pytest.mark.parametrize("t, x", [(1e20, 0.03), (-1e20, 0.03), (1e300, 0.5),
+                                  (-1e300, 0.5), (-2.718281828459045, 1.0),
+                                  (-71.07107097635135, 8.0)])
+def test_flat_flow_far_from_the_series_matches_the_primitive(t, x):
+    # guesses from the asymptotics of F; from x = 1 a full Newton step
+    # overshoots to about 0, and at x = 8 the series would move y forward
+    ch = AbelChart(VectorFieldGen.flat())
+    y = ch.flow_map(t, x)
+    dps = ch._dps_for_x(min(x, float(y))) + 10
+    with mp.workdps(dps + 10):
+        res = ch._flat_primitive(mp.mpf(y)) - ch._flat_primitive(mp.mpf(x)) - t
+        assert abs(res) * mp.exp(-1 / y) <= mp.mpf(10) ** (14 - dps) * y
 
 
 def test_flat_float_time_is_float_of_abel_time():
@@ -278,9 +306,10 @@ def test_blend_quadrature_fails_on_a_jump():
 @pytest.mark.parametrize("s, error", [(-1.0, InvalidInput),
                                       (0.0, InvalidInput),
                                       (math.nan, InvalidInput),
+                                      (1e-160, DomainError),
                                       (1e-300, DomainError)])
 def test_saturation_radius_is_checked(s, error):
-    # 1e-300: rho underflows to 0 on the blend
+    # 1e-160: 1/rho overflows on the blend; 1e-300: rho underflows to 0
     with pytest.raises(error):
         AbelChart(VectorFieldGen.poly(2, 0.0, saturation=s))
 
@@ -293,6 +322,8 @@ def test_saturation_radius_is_checked(s, error):
     (VectorFieldGen.poly(2, 0.0), "flow_map", (math.nan, 0.5), InvalidInput),
     (VectorFieldGen.poly(2, 0.0), "flow_map", (1.0, math.inf), DomainError),
     (VectorFieldGen.poly(2, 0.0), "flow_map", (math.inf, 0.5), BlowUp),
+    (VectorFieldGen.flat(), "flow_map", (math.inf, 0.5), BlowUp),
+    (VectorFieldGen.flat(), "flow_map", (-math.inf, 0.5), DomainError),
 ])
 def test_non_finite_chart_inputs_raise_typed_errors(gen, method, args, error):
     with pytest.raises(error):

@@ -666,4 +666,4 @@ def test_flat_verify_computes_one_abel_time_per_point(monkeypatch):
                         or ei(*a, **k))
     rep = S.verify_residual(sol, phi, np.geomspace(1e-3, 9.0, 64))
     assert rep.passed
-    assert len(calls) == 374
+    assert len(calls) == 341
